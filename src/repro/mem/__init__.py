@@ -1,4 +1,4 @@
-"""Memory substrate: tiers, pages, address spaces, page tables, TLB, migration.
+"""Memory substrate: tiers, pages, address spaces, TLB, migration.
 
 This package models the hardware/kernel memory machinery that MEMTIS (and
 every baseline tiering policy) runs on top of:
@@ -8,13 +8,12 @@ every baseline tiering policy) runs on top of:
   DRAM, downward through CXL/NVM/remote as configured).
 * :mod:`repro.mem.pages` -- constants for base/huge pages and metadata
   tables holding per-page access statistics.
-* :mod:`repro.mem.page_table` -- a 4-level radix page table with explicit
-  walk costs (3 levels for 2 MiB mappings, 4 for 4 KiB mappings).
 * :mod:`repro.mem.tlb` -- a split 4K/2M set-associative TLB with LRU
-  replacement and shootdown accounting.
+  replacement, shootdown accounting and page-walk costs (3 levels for
+  2 MiB mappings, 4 for 4 KiB mappings).
 * :mod:`repro.mem.address_space` -- virtual address space with region
-  allocation, THP mapping, the fast vectorised tier mirror, and RSS
-  accounting (including huge-page bloat).
+  allocation, THP mapping, the per-vpn tier/size arrays that record
+  every mapping, and RSS accounting (including huge-page bloat).
 * :mod:`repro.mem.migration` -- the migration engine used by the
   background daemons and by critical-path (fault-time) migrations.
 """
@@ -37,7 +36,6 @@ from repro.mem.pages import (
     vpn_to_hpn,
     hpn_to_vpn,
 )
-from repro.mem.page_table import PageTable, Mapping
 from repro.mem.tlb import TLB, TLBConfig, TLBStats
 from repro.mem.address_space import AddressSpace, Region
 from repro.mem.migration import MigrationEngine, MigrationStats
@@ -57,8 +55,6 @@ __all__ = [
     "SUBPAGES_PER_HUGE",
     "vpn_to_hpn",
     "hpn_to_vpn",
-    "PageTable",
-    "Mapping",
     "TLB",
     "TLBConfig",
     "TLBStats",

@@ -1,20 +1,21 @@
-"""Virtual address space: regions, THP mapping, tier mirror, RSS.
+"""Virtual address space: regions, THP mapping, tier/size arrays, RSS.
 
 The address space owns:
 
 * a bump-with-recycling virtual page allocator handing out 2 MiB-aligned
   regions to workloads;
-* the :class:`repro.mem.page_table.PageTable` (slow-path truth);
-* vectorised numpy mirrors used by the engine's per-batch cost
-  accounting (``page_tier``, ``page_huge``, ``touched``, ``ref_bit``);
+* the per-vpn numpy arrays that are the only record of every mapping
+  (``page_tier``, ``page_huge``) plus the access bits the policies read
+  (``touched``, ``ref_bit``);
 * resident-set-size accounting, including huge-page *bloat*: a huge page
   contributes its full 2 MiB to RSS even when only a few subpages were
   ever touched, which is exactly the Btree pathology of §6.2.5
   (RSS 38.3 GB mapped vs 15.2 GB touched).
 
 All mapping mutations (map, unmap, migrate, split, collapse) go through
-this class so the mirrors can never drift from the page table; the test
-suite cross-checks them.
+this class, which checks each one against the arrays before any tier
+bytes move, so the tiers' byte accounting never drifts from the
+mappings; :meth:`AddressSpace.check_consistency` cross-checks the two.
 """
 
 from __future__ import annotations
@@ -25,7 +26,11 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.mem.page_table import PageTable
+from repro.check.invariants import (
+    CheckContext,
+    check_mapping_shape,
+    check_tier_accounting,
+)
 from repro.mem.pages import (
     BASE_PAGE_SIZE,
     HUGE_PAGE_SIZE,
@@ -82,7 +87,6 @@ class AddressSpace:
         ) << HUGE_SHIFT
         self.num_hpns = self.num_vpns >> HUGE_SHIFT
 
-        self.page_table = PageTable()
         #: tier backing each 4 KiB vpn; TIER_UNMAPPED (-1) when unmapped.
         self.page_tier = np.full(self.num_vpns, TIER_UNMAPPED, dtype=np.int8)
         #: True when the vpn is covered by a 2 MiB mapping.
@@ -198,8 +202,7 @@ class AddressSpace:
             if self.page_tier[vpn] == TIER_UNMAPPED:
                 vpn += 1  # subpage freed earlier by a split
                 continue
-            mapping = self.page_table.lookup(vpn)
-            if mapping.is_huge:
+            if self.page_huge[vpn]:
                 self._unmap_huge(vpn_to_hpn(vpn))
                 vpn = hpn_to_vpn(vpn_to_hpn(vpn)) + SUBPAGES_PER_HUGE
             else:
@@ -216,27 +219,31 @@ class AddressSpace:
 
     def _map_huge(self, hpn: int, tier: TierIndex) -> None:
         base = hpn_to_vpn(hpn)
+        if np.any(self.page_tier[base : base + SUBPAGES_PER_HUGE] != TIER_UNMAPPED):
+            raise ValueError(f"huge slot for vpn {base} not empty")
         self.tiers.tier(tier).alloc(HUGE_PAGE_SIZE)
-        self.page_table.map_huge(base, tier)
         self.page_tier[base : base + SUBPAGES_PER_HUGE] = int(tier)
         self.page_huge[base : base + SUBPAGES_PER_HUGE] = True
 
     def _map_base(self, vpn: int, tier: TierIndex) -> None:
+        if self.page_tier[vpn] != TIER_UNMAPPED:
+            raise ValueError(f"vpn {vpn} already mapped")
         self.tiers.tier(tier).alloc(BASE_PAGE_SIZE)
-        self.page_table.map_base(vpn, tier)
         self.page_tier[vpn] = int(tier)
         self.page_huge[vpn] = False
 
     def _unmap_huge(self, hpn: int) -> None:
         base = hpn_to_vpn(hpn)
-        mapping = self.page_table.unmap(base)
-        self.tiers.tier(mapping.tier).free(HUGE_PAGE_SIZE)
+        if not self.page_huge[base]:
+            raise KeyError(f"hpn {hpn} not huge-mapped")
+        self.tiers.tier(int(self.page_tier[base])).free(HUGE_PAGE_SIZE)
         self.page_tier[base : base + SUBPAGES_PER_HUGE] = TIER_UNMAPPED
         self.page_huge[base : base + SUBPAGES_PER_HUGE] = False
 
     def _unmap_base(self, vpn: int) -> None:
-        mapping = self.page_table.unmap(vpn)
-        self.tiers.tier(mapping.tier).free(BASE_PAGE_SIZE)
+        if self.page_tier[vpn] == TIER_UNMAPPED or self.page_huge[vpn]:
+            raise KeyError(f"vpn {vpn} not base-mapped")
+        self.tiers.tier(int(self.page_tier[vpn])).free(BASE_PAGE_SIZE)
         self.page_tier[vpn] = TIER_UNMAPPED
         self.page_huge[vpn] = False
 
@@ -298,9 +305,8 @@ class AddressSpace:
         through the remaining tiers in fallback order (slower first,
         then faster), and the allocation raises
         :class:`OutOfMemoryError` before any page maps when the batch
-        does not fit.  Tier accounting and the numpy mirrors update in
-        bulk; the radix page table still maps per page (it is not the
-        hot cost).
+        does not fit.  Tier accounting and the mapping arrays update in
+        bulk.
         """
         vpns = np.asarray(vpns, dtype=np.int64)
         if len(vpns) == 0:
@@ -328,8 +334,6 @@ class AddressSpace:
             if not len(chunk):
                 continue
             self.tiers.tier(tier).alloc(len(chunk) * BASE_PAGE_SIZE)
-            for vpn in chunk.tolist():
-                self.page_table.map_base(int(vpn), tier)
             self.page_tier[chunk] = int(tier)
             self.page_huge[chunk] = False
 
@@ -341,15 +345,13 @@ class AddressSpace:
         Caller is responsible for cost accounting (copy + shootdown).
         """
         nbytes = HUGE_PAGE_SIZE if is_huge else BASE_PAGE_SIZE
-        mapping = self.page_table.lookup(base_vpn)
-        if mapping is None or mapping.is_huge != is_huge:
+        src = int(self.page_tier[base_vpn])
+        if src == TIER_UNMAPPED or bool(self.page_huge[base_vpn]) != is_huge:
             raise KeyError(f"vpn {base_vpn} mapping shape mismatch")
-        src = mapping.tier
-        if int(src) == int(dst):
+        if src == int(dst):
             return 0
         self.tiers.tier(dst).alloc(nbytes)
         self.tiers.tier(src).free(nbytes)
-        self.page_table.set_tier(base_vpn, dst)
         span = SUBPAGES_PER_HUGE if is_huge else 1
         self.page_tier[base_vpn : base_vpn + span] = int(dst)
         return nbytes
@@ -384,8 +386,6 @@ class AddressSpace:
         for src, count in enumerate(src_counts.tolist()):
             if count:
                 self.tiers.tier(src).free(count * nbytes)
-        for vpn in base_vpns.tolist():
-            self.page_table.set_tier(int(vpn), dst)
         if is_huge:
             span = (
                 base_vpns[:, None] + np.arange(SUBPAGES_PER_HUGE)[None, :]
@@ -404,10 +404,9 @@ class AddressSpace:
         dict (bytes freed / migrated) for the caller to charge.
         """
         base = hpn_to_vpn(hpn)
-        mapping = self.page_table.lookup(base)
-        if mapping is None or not mapping.is_huge:
+        if not self.page_huge[base]:
             raise ValueError(f"hpn {hpn} is not huge-mapped")
-        src = mapping.tier
+        src = int(self.page_tier[base])
 
         self._unmap_huge(hpn)
         freed = 0
@@ -447,13 +446,7 @@ class AddressSpace:
         return self._regions[region_id]
 
     def state_dict(self) -> dict:
-        """Serialisable mapping state.
-
-        The radix page table is *not* serialised: the numpy mirrors are a
-        complete description of every mapping, and :meth:`load_state`
-        rebuilds the table from them (``check_consistency`` cross-checks
-        the two, so a checkpoint can never resurrect a drifted table).
-        """
+        """Serialisable mapping state (the arrays describe every mapping)."""
         return {
             "page_tier": self.page_tier.copy(),
             "page_huge": self.page_huge.copy(),
@@ -469,10 +462,10 @@ class AddressSpace:
         """Restore :meth:`state_dict` output.
 
         Tier byte accounting is restored separately by
-        ``TieredMemory.load_state`` (before this runs), so the page table
-        is rebuilt directly on the table object rather than through the
-        allocating ``_map_*`` helpers.  Unmap listeners are live callables
-        rewired at construction and are left untouched.
+        ``TieredMemory.load_state`` (before this runs), so the arrays are
+        copied in directly rather than through the allocating ``_map_*``
+        helpers.  Unmap listeners are live callables rewired at
+        construction and are left untouched.
         """
         self.page_tier[:] = np.asarray(state["page_tier"], dtype=np.int8)
         self.page_huge[:] = np.asarray(state["page_huge"], dtype=bool)
@@ -486,33 +479,16 @@ class AddressSpace:
         self._recycle = {
             int(size): list(bases) for size, bases in state["recycle"].items()
         }
-        self.page_table = PageTable()
-        huge_heads = np.flatnonzero(self.page_huge[::SUBPAGES_PER_HUGE])
-        for hpn in huge_heads.tolist():
-            base = hpn_to_vpn(int(hpn))
-            self.page_table.map_huge(base, int(self.page_tier[base]))
-        base_vpns = np.flatnonzero((self.page_tier >= 0) & ~self.page_huge)
-        for vpn in base_vpns.tolist():
-            self.page_table.map_base(int(vpn), int(self.page_tier[vpn]))
 
     # -- consistency (used by tests) -------------------------------------------
 
     def check_consistency(self) -> None:
-        """Assert the numpy mirrors agree with the radix page table."""
-        seen = np.full(self.num_vpns, TIER_UNMAPPED, dtype=np.int8)
-        huge = np.zeros(self.num_vpns, dtype=bool)
-        for mapping in self.page_table.iter_mappings():
-            span = mapping.num_vpns
-            seen[mapping.vpn : mapping.vpn + span] = int(mapping.tier)
-            huge[mapping.vpn : mapping.vpn + span] = mapping.is_huge
-        if not np.array_equal(seen, self.page_tier):
-            raise AssertionError("page_tier mirror out of sync with page table")
-        if not np.array_equal(huge, self.page_huge):
-            raise AssertionError("page_huge mirror out of sync with page table")
-        for tier in self.tiers:
-            mapped = int(np.count_nonzero(seen == tier.index)) * BASE_PAGE_SIZE
-            if mapped != tier.used_bytes:
-                raise AssertionError(
-                    f"{tier_label(tier.index, self.tiers)} tier accounting "
-                    f"{tier.used_bytes} != mapped {mapped}"
-                )
+        """Assert tier byte accounting and mapping shapes match the arrays.
+
+        Runs the sanitizer's ``tier-accounting`` and ``mapping-shape``
+        checks and raises :class:`AssertionError` listing any findings.
+        """
+        ctx = CheckContext(space=self, tiers=self.tiers)
+        findings = check_tier_accounting(ctx) + check_mapping_shape(ctx)
+        if findings:
+            raise AssertionError("; ".join(str(f) for f in findings))

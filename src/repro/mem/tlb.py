@@ -40,8 +40,12 @@ from repro.kernels.tlb_lru import (
     lru_invalidate,
     lru_invalidate_range,
 )
-from repro.mem.page_table import WALK_LEVELS_BASE, WALK_LEVELS_HUGE
 from repro.mem.pages import vpn_to_hpn
+
+#: Page-walk memory references by mapping size (x86-64 4-level paging;
+#: a 2 MiB mapping ends the walk at the PMD level).
+WALK_LEVELS_BASE = 4
+WALK_LEVELS_HUGE = 3
 
 
 @dataclass(frozen=True)

@@ -147,7 +147,7 @@ class Worker:
                 self.stats.executed += 1
                 if run_spec.resume:
                     self.stats.resumed += 1
-        elif error is not None and LeaseLost.__name__ in error:
+        elif renewer.lost:
             # Usurped: the new owner's run stands; say nothing to the
             # queue (fail() is owner-guarded and would no-op anyway).
             self.stats.lost_leases += 1
@@ -173,7 +173,8 @@ class _LeaseRenewer:
     queue write.  A failed renewal means another worker reclaimed the
     job after our lease lapsed (e.g. the machine was suspended):
     continuing would waste compute and double-write heartbeats, so the
-    run is aborted with :class:`LeaseLost`.
+    run is aborted with :class:`LeaseLost` and :attr:`lost` is set, so
+    the worker tells a usurped lease from a cell that merely failed.
     """
 
     def __init__(self, queue: JobQueue, key: str, worker_id: str,
@@ -183,6 +184,8 @@ class _LeaseRenewer:
         self.worker_id = worker_id
         self.lease_s = float(lease_s)
         self._last_renew = time.time()
+        #: True once a renewal was refused (the run was aborted).
+        self.lost = False
 
     def __call__(self, sim) -> None:
         now = time.time()
@@ -190,6 +193,7 @@ class _LeaseRenewer:
             return
         if not self.queue.renew(self.key, self.worker_id, self.lease_s,
                                 now=now):
+            self.lost = True
             raise LeaseLost(
                 f"lease on {self.key[:16]} usurped from {self.worker_id}"
             )

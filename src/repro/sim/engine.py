@@ -197,7 +197,6 @@ class Simulation:
         seed: int = 42,
         timeline_interval_ns: float = 20e6,
         force_base_pages: bool = False,
-        validate_every: int = 0,
         obs: Optional[Observability] = None,
         check=None,
         faults=None,
@@ -211,9 +210,6 @@ class Simulation:
         #: When True, THP is disabled: every region maps base pages only
         #: (the "All-DRAM w/o THP" reference in Fig. 7).
         self.force_base_pages = force_base_pages
-        #: Debug mode: cross-check the mapping mirrors against the radix
-        #: page table every N batches (0 disables; expensive).
-        self.validate_every = validate_every
         self._batches_processed = 0
         #: Macro-batch coalescing target in accesses (``repro.sim.macro``):
         #: 0 keeps the legacy per-event loop; N > 0 fuses consecutive
@@ -524,8 +520,6 @@ class Simulation:
             self.policy.on_tick(self.now_ns)
         self._phase_ns["policy_ns"] += time.perf_counter_ns() - t0
         self._batches_processed += 1
-        if self.validate_every and self._batches_processed % self.validate_every == 0:
-            space.check_consistency()
         self.sanitizer.after_batch(self.now_ns)
         if self.metrics.maybe_snapshot(
             self.now_ns,

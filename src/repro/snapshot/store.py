@@ -2,7 +2,7 @@
 
 A checkpoint is the complete :meth:`repro.sim.engine.Simulation.state_dict`
 captured at an epoch boundary: engine position and RNG streams, tier
-accounting, address space and page table, TLB, migration and run
+accounting, address space mapping arrays, TLB, migration and run
 metrics, the PEBS sampler and period controller, the policy (both
 histograms, per-page counters, ksampled/kmigrated queues and split
 bookkeeping), the shared counter registry, and the fault injector.  The

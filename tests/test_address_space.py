@@ -27,14 +27,14 @@ class TestAllocation:
         region = space.alloc_region(4 * MB, thp=True)
         assert region.num_vpns == 4 * MB // BASE_PAGE_SIZE
         assert space.page_huge[region.base_vpn]
-        assert space.page_table.mapped_huge_pages == 2
+        assert len(space.mapped_huge_hpns()) == 2
         space.check_consistency()
 
     def test_base_region_maps_base(self):
         space = make_space()
         region = space.alloc_region(2 * MB, thp=False)
         assert not space.page_huge[region.base_vpn]
-        assert space.page_table.mapped_huge_pages == 0
+        assert len(space.mapped_huge_hpns()) == 0
         space.check_consistency()
 
     def test_size_rounds_to_huge_multiple(self):
@@ -188,3 +188,72 @@ class TestMutations:
         space.record_touch(vpns)
         assert space.ref_bit[vpns].all()
         assert space.touched[vpns].all()
+
+
+def used_bytes(space):
+    return [tier.used_bytes for tier in space.tiers]
+
+
+class TestMappingErrors:
+    """Rejected mutations raise before any tier bytes move."""
+
+    def test_double_map_base_rejected(self):
+        space = make_space()
+        region = space.alloc_region(2 * MB, thp=False)
+        before = used_bytes(space)
+        with pytest.raises(ValueError):
+            space._map_base(region.base_vpn, TierKind.CAPACITY)
+        assert used_bytes(space) == before
+        space.check_consistency()
+
+    def test_huge_over_nonempty_slot_rejected(self):
+        space = make_space()
+        region = space.alloc_region(2 * MB)
+        hpn = region.base_vpn >> 9
+        space.split_huge(hpn, [None] * 5 + [TierKind.FAST] * (SUBPAGES_PER_HUGE - 5))
+        before = used_bytes(space)
+        with pytest.raises(ValueError):
+            space._map_huge(hpn, TierKind.FAST)
+        assert used_bytes(space) == before
+        space.check_consistency()
+
+    def test_unmap_unmapped_raises(self):
+        space = make_space()
+        region = space.alloc_region(2 * MB, thp=False)
+        space.free_region(region)
+        before = used_bytes(space)
+        with pytest.raises(KeyError):
+            space._unmap_base(region.base_vpn)
+        with pytest.raises(KeyError):
+            space._unmap_huge(region.base_vpn >> 9)
+        assert used_bytes(space) == before
+
+    def test_retarget_wrong_shape_raises(self):
+        space = make_space()
+        huge = space.alloc_region(2 * MB, tier_chooser=lambda n: TierKind.FAST)
+        base = space.alloc_region(2 * MB, thp=False,
+                                  tier_chooser=lambda n: TierKind.FAST)
+        before = used_bytes(space)
+        with pytest.raises(KeyError):
+            space.retarget(huge.base_vpn, is_huge=False, dst=TierKind.CAPACITY)
+        with pytest.raises(KeyError):
+            space.retarget(base.base_vpn, is_huge=True, dst=TierKind.CAPACITY)
+        assert used_bytes(space) == before
+        space.check_consistency()
+
+    def test_split_base_mapped_rejected(self):
+        space = make_space()
+        region = space.alloc_region(2 * MB, thp=False)
+        before = used_bytes(space)
+        with pytest.raises(ValueError):
+            space.split_huge(region.base_vpn >> 9,
+                             [TierKind.FAST] * SUBPAGES_PER_HUGE)
+        assert used_bytes(space) == before
+        space.check_consistency()
+
+    def test_check_consistency_reports_drift(self):
+        space = make_space()
+        space.alloc_region(2 * MB)
+        space.tiers.fast.used_bytes += BASE_PAGE_SIZE  # phantom bytes
+        with pytest.raises(AssertionError, match="tier-accounting"):
+            space.check_consistency()

@@ -133,13 +133,13 @@ class TestInvariantTriggers:
         ctx.space.page_huge[region.base_vpn + 3] = False  # torn flag run
         assert "mapping-shape" in findings_of(make_sanitizer(ctx))
 
-    def test_page_table_mirror(self):
+    def test_tier_accounting_flipped_page_tier(self):
         ctx = make_context()
         region = alloc(ctx, None, 2, TierKind.FAST, thp=False)
-        # Mirror says capacity, page table says fast: only the full
-        # radix walk sees it (tier byte totals still disagree per tier).
+        # page_tier says capacity while the bytes were charged to fast:
+        # per-tier byte totals disagree with the array.
         ctx.space.page_tier[region.base_vpn] = int(TierKind.CAPACITY)
-        assert "page-table-mirror" in findings_of(make_sanitizer(ctx))
+        assert "tier-accounting" in findings_of(make_sanitizer(ctx))
 
     def test_histogram_mass_weight_tamper(self):
         ctx = make_context()
@@ -228,19 +228,6 @@ class TestInvariantTriggers:
         assert err.site == "epoch" and err.now_ns == 123.0
         assert err.findings and err.to_dict()["findings"]
         assert "tier-accounting" in str(err)
-
-    def test_costly_checks_skipped_per_batch(self):
-        ctx = make_context()
-        region = alloc(ctx, None, 2, TierKind.FAST, thp=False)
-        # Mirror-only corruption (per-tier byte totals stay balanced by
-        # pairing two opposite flips): invisible to the cheap checks.
-        ctx.space.page_tier[region.base_vpn] = int(TierKind.CAPACITY)
-        ctx.tiers.capacity.used_bytes += 4096
-        ctx.tiers.fast.used_bytes -= 4096
-        san = make_sanitizer(ctx)
-        san.run_checks(site="batch")  # costly mirror walk not run
-        with pytest.raises(InvariantViolation):
-            san.run_checks(site="epoch")
 
 
 @pytest.mark.parametrize("mode", [kernels.VECTORIZED, kernels.SCALAR])

@@ -7,9 +7,15 @@ from hypothesis import given, settings, strategies as st
 from repro.core.histogram import AccessHistogram, bin_of, bin_of_array
 from repro.core.split import skewness_factors, utilization_factors
 from repro.core.thresholds import adapt_thresholds
-from repro.mem.page_table import PageTable
 from repro.mem.pages import SUBPAGES_PER_HUGE
-from repro.mem.tiers import TierKind
+from repro.mem.address_space import AddressSpace
+from repro.mem.tiers import (
+    TIER_UNMAPPED,
+    TieredMemory,
+    TierKind,
+    dram_spec,
+    nvm_spec,
+)
 from repro.pebs.events import AccessBatch
 from repro.pebs.sampler import PEBSSampler, SamplerConfig
 from repro.workloads.distributions import ZipfSampler
@@ -149,20 +155,26 @@ class TestSkewnessProperties:
         assert s_narrow > s_wide
 
 
-class TestPageTableProperties:
-    @given(st.lists(st.integers(0, 1 << 27), min_size=1, max_size=60,
-                    unique=True))
-    @settings(max_examples=30)
-    def test_map_unmap_roundtrip(self, vpns):
-        pt = PageTable()
-        for vpn in vpns:
-            pt.map_base(vpn, TierKind.FAST)
-        assert pt.mapped_vpns == len(vpns)
-        for vpn in vpns:
-            assert pt.lookup(vpn) is not None
-            pt.unmap(vpn)
-        assert pt.mapped_vpns == 0
-        assert all(pt.lookup(v) is None for v in vpns)
+class TestAddressSpaceProperties:
+    @given(st.lists(st.tuples(st.integers(1, 3 << 21), st.booleans()),
+                    min_size=1, max_size=12))
+    @settings(max_examples=30, deadline=None)
+    def test_alloc_free_roundtrip(self, regions):
+        mb = 1024 * 1024
+        tiers = TieredMemory.build(dram_spec(8 * mb), nvm_spec(64 * mb))
+        space = AddressSpace(tiers)
+        live = [
+            space.alloc_region(nbytes, thp=thp,
+                               tier_chooser=lambda n: TierKind.FAST)
+            for nbytes, thp in regions
+        ]
+        assert tiers.total_used() == sum(r.nbytes for r in live)
+        space.check_consistency()
+        for region in live:
+            space.free_region(region)
+        assert all(tier.used_bytes == 0 for tier in tiers)
+        assert np.all(space.page_tier == TIER_UNMAPPED)
+        assert not space.page_huge.any()
 
 
 class TestZipfProperties:

@@ -249,6 +249,19 @@ class TestWorker:
         _, cells = read_heartbeats(heartbeat_dir(d))
         assert cells and cells[0]["state"] == "failed"
 
+    def test_error_text_naming_lease_lost_is_an_ordinary_failure(self, tmp_path):
+        """Only a refused renewal marks a lease lost, not the error text."""
+        d = str(tmp_path / "svc")
+        bad = _spec(seed=45, policy_kwargs={"LeaseLost": True})
+        queue = JobQueue(queue_path(d))
+        queue.enqueue([bad], max_attempts=1)
+        worker = Worker(d, lease_s=30.0, poll_s=0.05, drain=True)
+        worker._process(queue.claim(worker.worker_id, worker.lease_s))
+        assert worker.stats.failures == 1 and worker.stats.lost_leases == 0
+        job = queue.jobs()[0]
+        assert job.state == FAILED and job.attempts == 1
+        assert "LeaseLost" in (job.error or "")
+
 
 # -- HTTP status API -----------------------------------------------------------
 

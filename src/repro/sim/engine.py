@@ -35,9 +35,9 @@ from repro.obs import DEBUG, Observability
 from repro.pebs.events import AccessBatch
 from repro.pebs.sampler import PEBSSampler, SamplerConfig
 from repro.policies.base import BatchObservation, PolicyContext, TieringPolicy
-from repro.sim import macro as macro_mod
 from repro.sim.cost import BoundCostModel, CostModel
 from repro.sim.machine import MachineSpec
+from repro.sim.macro import EventCoalescer
 from repro.sim.metrics import MetricsCollector
 from repro.workloads.base import AccessEvent, AllocEvent, FreeEvent, Workload
 
@@ -212,9 +212,10 @@ class Simulation:
         self.force_base_pages = force_base_pages
         self._batches_processed = 0
         #: Macro-batch coalescing target in accesses (``repro.sim.macro``):
-        #: 0 keeps the legacy per-event loop; N > 0 fuses consecutive
-        #: access events into ~N-access macro-batches, changing the
-        #: observation cadence (and therefore the spec identity).
+        #: 0 is the per-event cadence (every workload event is its own
+        #: batch); N > 0 fuses consecutive access events into ~N-access
+        #: macro-batches, changing the observation cadence (and
+        #: therefore the spec identity).
         if macro_batch < 0:
             raise ValueError(f"macro_batch must be >= 0, got {macro_batch}")
         self.macro_batch = int(macro_batch)
@@ -357,7 +358,10 @@ class Simulation:
 
     @staticmethod
     def _fuse_reference(regions, rels) -> AccessBatch:
-        """Per-segment rebase + concat: the executable fusion spec."""
+        """Per-segment rebase + concat: the executable fusion spec.
+
+        No run calls it; the tests hold :meth:`_fuse_staged` to it.
+        """
         return AccessBatch.concat(
             [rel.rebased(region.base_vpn)
              for region, rel in zip(regions, rels)]
@@ -368,9 +372,11 @@ class Simulation:
         """Grouped whole-array fusion: one concat + one base-vector add.
 
         Bit-identical to :meth:`_fuse_reference` (integer ops, same
-        order); enforced per macro-batch in validate mode and end to
-        end by ``tests/test_macro_batch.py``.
+        order); ``tests/test_macro_batch.py`` checks it per batch and
+        end to end.
         """
+        if not rels:
+            return AccessBatch.concat([])
         if len(rels) == 1:
             return rels[0].rebased(regions[0].base_vpn)
         vpn = np.concatenate([rel.vpn for rel in rels])
@@ -391,26 +397,8 @@ class Simulation:
     def _rebase(self, event: AccessEvent) -> AccessBatch:
         regions, rels = self._resolve_parts(event)
         return self._interleave(
-            self._fuse_reference(regions, rels), event.interleave
+            self._fuse_staged(regions, rels), event.interleave
         )
-
-    def _rebase_macro(self, event: AccessEvent) -> AccessBatch:
-        """Fuse one macro-batch under the active macro fusion mode."""
-        regions, rels = self._resolve_parts(event)
-        mode = macro_mod.active_mode()
-        if mode == macro_mod.REFERENCE:
-            batch = self._fuse_reference(regions, rels)
-        else:
-            batch = self._fuse_staged(regions, rels)
-            if mode == macro_mod.VALIDATE:
-                ref = self._fuse_reference(regions, rels)
-                if not (np.array_equal(batch.vpn, ref.vpn)
-                        and np.array_equal(batch.is_store, ref.is_store)):
-                    raise AssertionError(
-                        "staged macro fusion diverged from the per-event "
-                        "reference"
-                    )
-        return self._interleave(batch, event.interleave)
 
     def _process_batch(self, batch: AccessBatch) -> None:
         n = len(batch)
@@ -617,11 +605,12 @@ class Simulation:
     def load_state(self, state: Dict[str, Any]) -> None:
         """Restore :meth:`state_dict` output onto a freshly built sim.
 
-        Order matters: tiers before the address space (the space's page
-        table rebuild relies on byte accounting being restored
-        elsewhere), and the space before the engine's region map (which
-        re-points at the space's restored :class:`Region` objects so
-        free paths observe one shared ``live`` flag).
+        Order matters: tier byte accounting is restored before the
+        address-space arrays (the space copies its arrays in directly
+        and leaves the bytes they hold to the tiers' restore), and the
+        space before the engine's region map (which re-points at the
+        space's restored :class:`Region` objects so free paths observe
+        one shared ``live`` flag).
         """
         self.now_ns = state["now_ns"]
         self._batches_processed = state["batches_processed"]
@@ -659,35 +648,13 @@ class Simulation:
 
     # -- driver ------------------------------------------------------------------
 
-    def _run_per_event(self, events, skip: int, budget: float) -> None:
-        """The legacy loop: one engine round trip per workload event."""
-        phase = self._phase_ns
-        while True:
-            t0 = time.perf_counter_ns()
-            event = next(events, None)
-            phase["gen_ns"] += time.perf_counter_ns() - t0
-            if event is None:
-                break
-            if skip > 0:
-                skip -= 1
-                continue
-            self._events_consumed += 1
-            if isinstance(event, AllocEvent):
-                self._handle_alloc(event)
-            elif isinstance(event, FreeEvent):
-                self._handle_free(event)
-            elif isinstance(event, AccessEvent):
-                self._process_batch(self._rebase(event))
-                if self.metrics.total_accesses >= budget:
-                    break
-            else:
-                raise TypeError(f"unknown workload event {event!r}")
+    def _run(self, events, skip: int, budget: float) -> None:
+        """The engine loop: whole-array stages once per coalesced item.
 
-    def _run_macro(self, events, skip: int, budget: float) -> None:
-        """The streamed loop: whole-array stages once per macro-batch.
-
-        The coalescer pulls ahead of processing by at most the pending
-        group; ``_events_consumed`` counts only events folded into
+        At ``macro_batch = 0`` the coalescer passes every event through
+        alone, one engine round trip per workload event.  Otherwise it
+        pulls ahead of processing by at most the pending group;
+        ``_events_consumed`` counts only events folded into
         *processed* items, so checkpoints taken inside
         ``_process_batch`` describe a position the coalescer can
         deterministically restart from (fusion boundaries depend only
@@ -703,7 +670,7 @@ class Simulation:
             if event is None:
                 return
             skip -= 1
-        coalescer = macro_mod.EventCoalescer(
+        coalescer = EventCoalescer(
             events, target=self.macro_batch, phase_ns=phase
         )
         for item in coalescer:
@@ -714,7 +681,7 @@ class Simulation:
             elif isinstance(event, FreeEvent):
                 self._handle_free(event)
             else:
-                self._process_batch(self._rebase_macro(event))
+                self._process_batch(self._rebase(event))
                 if self.metrics.total_accesses >= budget:
                     break
 
@@ -741,10 +708,7 @@ class Simulation:
                 self.workload.seek_events(skip)
                 skip = 0
             events = self.workload.events(np.random.default_rng(self.seed + 2))
-            if self.macro_batch > 0:
-                self._run_macro(events, skip, budget)
-            else:
-                self._run_per_event(events, skip, budget)
+            self._run(events, skip, budget)
         # Close the tail window so timelines always cover the full run,
         # even when the last interval is shorter than the period.
         if self.metrics.finalize(

@@ -1,4 +1,4 @@
-"""Macro-batch event coalescing: the streamed engine hot path.
+"""Macro-batch event coalescing: the engine's only view of a workload.
 
 The engine historically consumed one ~32k-access :class:`AccessEvent`
 at a time, paying a fixed per-event Python round trip (rebase ->
@@ -13,42 +13,30 @@ policy observation -- runs once per macro-batch instead of once per
 
 Semantics
 ---------
-``macro_batch = 0`` (the default everywhere) is the legacy per-event
-loop, bit-for-bit.  ``macro_batch = N > 0`` is a *different cadence*:
+``macro_batch = 0`` (the default everywhere) is a pass-through: every
+event comes out alone, as the same object, so the engine sees the
+per-event cadence.  ``macro_batch = N > 0`` is a *different cadence*:
 the policy observes fewer, larger batches, daemons tick once per
 macro-batch of virtual time, and interleaved events shuffle at fused
 granularity.  Results therefore legitimately differ from the per-event
 cadence, and ``macro_batch`` is part of the ``RunSpec`` cache identity.
 
-What *is* guaranteed bit-identical -- enforced by
-``tests/test_macro_batch.py`` in both kernel modes under strict checks
--- is the staged fused path against the per-event reference fusion at
-the same macro cadence:
+Either way the engine fuses each item with one grouped rebase
+(``Simulation._fuse_staged``: a single concatenate plus an
+``np.repeat`` base vector).  It is held bit-identical to the
+per-segment reference fusion (``Simulation._fuse_reference``, kept as a
+test oracle) by ``tests/test_macro_batch.py``, per batch and end to end
+in both kernel modes under strict checks.
 
-* **staged** (default): the engine fuses a macro-batch with one
-  grouped rebase (single concatenate + ``np.repeat`` base vector);
-* **reference**: the original per-segment loop (`rebased()` per part +
-  ``AccessBatch.concat``), kept as the executable specification;
-* **validate**: run both on every macro-batch and assert identical
-  arrays (debugging aid, mirrors ``REPRO_SCALAR_KERNELS=validate``).
-
-Epoch/snapshot/sanitizer boundaries are macro-batch aligned: a fused
-batch is processed by the very same ``_process_batch``, so
-``_close_epoch``, checkpointing and fault-injection timing fire at
-batch boundaries exactly as they do per-event -- and identically
-between the staged and reference paths, across kernel modes, and
-through kill/resume.
-
-Mode selection (``REPRO_MACRO_KERNELS``): unset / ``staged`` --
-staged fusion (default); ``reference`` -- per-event reference fusion;
-``validate`` -- both + assert.  Only consulted when ``macro_batch > 0``.
+Epoch/snapshot/sanitizer boundaries are batch aligned: a fused batch is
+processed by the very same ``_process_batch``, so ``_close_epoch``,
+checkpointing and fault-injection timing fire at batch boundaries at
+every cadence, across kernel modes, and through kill/resume.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
@@ -59,48 +47,13 @@ from repro.workloads.base import (
     WorkloadEvent,
 )
 
-#: Mode names (the ``REPRO_MACRO_KERNELS`` values they correspond to).
-STAGED = "staged"
-REFERENCE = "reference"
-VALIDATE = "validate"
-
-_MODES = (STAGED, REFERENCE, VALIDATE)
-
 #: Default macro-batch size when a caller enables coalescing without a
-#: size (CLI ``--macro-batch 0`` stays off; benchmarks and tests use
-#: this).  256k accesses measured fastest on the trace-replay hot path
-#: -- large enough to amortise per-batch Python, small enough that the
-#: per-access temporaries stay cache-friendly (1M-access batches were
-#: ~35% slower end to end).
+#: size (CLI ``--macro-batch 0`` keeps the per-event cadence;
+#: benchmarks and tests use this).  256k accesses measured fastest on
+#: the trace-replay hot path -- large enough to amortise per-batch
+#: Python, small enough that the per-access temporaries stay
+#: cache-friendly (1M-access batches were ~35% slower end to end).
 DEFAULT_MACRO_BATCH = 262_144
-
-_forced: Optional[str] = None
-
-
-def active_mode() -> str:
-    """Resolve the macro fusion mode for this call (forced > env)."""
-    if _forced is not None:
-        return _forced
-    env = os.environ.get("REPRO_MACRO_KERNELS", "").strip().lower()
-    if env in ("", "0", "staged"):
-        return STAGED
-    if env == "validate":
-        return VALIDATE
-    return REFERENCE
-
-
-@contextmanager
-def forced(mode: str) -> Iterator[None]:
-    """Pin the macro fusion mode within a ``with`` block (tests)."""
-    if mode not in _MODES:
-        raise ValueError(f"unknown macro mode {mode!r}; expected {_MODES}")
-    global _forced
-    prev = _forced
-    _forced = mode
-    try:
-        yield
-    finally:
-        _forced = prev
 
 
 @dataclass
@@ -126,7 +79,8 @@ class EventCoalescer:
     pending group before passing through.  A fused event concatenates
     the constituent segment lists in order -- per-access order within
     the macro-batch is exactly the per-event order -- and is
-    interleaved if any constituent was.
+    interleaved if any constituent was.  ``target = 0`` is a
+    pass-through: every event, even an empty one, comes out alone.
 
     Fusion boundaries are a pure function of the event stream from the
     coalescer's start position, which makes them deterministic across
@@ -140,8 +94,8 @@ class EventCoalescer:
 
     def __init__(self, events: Iterator[WorkloadEvent], target: int,
                  phase_ns: Optional[dict] = None):
-        if target <= 0:
-            raise ValueError(f"macro-batch target must be > 0, got {target}")
+        if target < 0:
+            raise ValueError(f"macro-batch target must be >= 0, got {target}")
         self._events = events
         self.target = int(target)
         self._phase_ns = phase_ns

@@ -136,8 +136,9 @@ class RunSpec:
     #: ``to_dict()`` layout and ``cache_key()`` unchanged.
     machine_preset: Optional[str] = None
     #: Macro-batch coalescing target in accesses (``repro.sim.macro``):
-    #: 0 (default) keeps the legacy per-event engine loop; N > 0 fuses
-    #: consecutive access events into ~N-access macro-batches.  This
+    #: 0 (default) is the per-event cadence, one engine batch per
+    #: workload event; N > 0 fuses consecutive access events into
+    #: ~N-access macro-batches.  This
     #: changes the observation cadence -- policies see fewer, larger
     #: batches -- so unlike ``check``/``snapshot_every`` it IS part of
     #: the cache identity.  Serialized (and hashed) only when nonzero,

@@ -2,14 +2,16 @@
 
 The contract of :mod:`repro.sim.macro` (see its module docstring):
 
-* ``macro_batch = 0`` is the legacy per-event loop -- nothing changes;
+* ``macro_batch = 0`` is a coalescer pass-through: the per-event
+  cadence, one engine batch per workload event;
 * ``macro_batch = N > 0`` is a different (coarser) cadence, part of the
   spec's cache identity, but the *access stream* the engine sees is a
   pure re-grouping of the per-event stream;
-* at a fixed macro cadence the staged fused rebase is bit-identical to
-  the per-event reference fusion -- per ``SimResult.to_dict()`` minus
-  wall-clock fields -- in both kernel modes, under ``REPRO_CHECK=strict``,
-  and through the snapshot kill/resume matrix.
+* the engine's staged fused rebase is bit-identical to the per-segment
+  reference fusion (``Simulation._fuse_reference``, a test oracle) --
+  per batch, and per ``SimResult.to_dict()`` minus wall-clock fields in
+  both kernel modes, under ``REPRO_CHECK=strict``, and through the
+  snapshot kill/resume matrix.
 """
 
 import dataclasses
@@ -20,12 +22,14 @@ import pytest
 from repro import kernels, snapshot
 from repro.check import FaultConfig, FaultInjector, SimulationKilled
 from repro.pebs.events import AccessBatch
+from repro.policies import make_policy
 from repro.sim import macro
 from repro.sim.engine import Simulation
 from repro.sim.runner import RunSpec
 from repro.workloads.base import AccessEvent, AllocEvent, FreeEvent
 
 from conftest import TEST_SCALE
+from test_engine import ScriptedWorkload, machine
 
 EPOCH_NS = 1e6
 #: Small enough that a 150k-access run spans several macro-batches.
@@ -54,9 +58,32 @@ def _canon(result):
     return d
 
 
-def _run(spec, mode):
-    with macro.forced(mode):
-        return _canon(_build(spec).run(max_accesses=spec.max_accesses))
+def _run(spec):
+    return _canon(_build(spec).run(max_accesses=spec.max_accesses))
+
+
+def _use_reference_fusion(monkeypatch):
+    """Route the engine's fusion through the reference oracle."""
+    monkeypatch.setattr(Simulation, "_fuse_staged",
+                        staticmethod(Simulation._fuse_reference))
+
+
+def _check_every_fusion(monkeypatch):
+    """Make every staged fusion also run the reference and assert the
+    two agree; returns the segment count of each checked fusion."""
+    staged = Simulation._fuse_staged
+    segment_counts = []
+
+    def checked(regions, rels):
+        batch = staged(regions, rels)
+        ref = Simulation._fuse_reference(regions, rels)
+        assert np.array_equal(batch.vpn, ref.vpn)
+        assert np.array_equal(batch.is_store, ref.is_store)
+        segment_counts.append(len(rels))
+        return batch
+
+    monkeypatch.setattr(Simulation, "_fuse_staged", staticmethod(checked))
+    return segment_counts
 
 
 # -- coalescer unit behaviour --------------------------------------------------
@@ -108,22 +135,24 @@ class TestEventCoalescer:
 
     def test_rejects_bad_target_and_unknown_events(self):
         with pytest.raises(ValueError):
-            macro.EventCoalescer(iter([]), target=0)
+            macro.EventCoalescer(iter([]), target=-1)
         with pytest.raises(TypeError):
             list(macro.EventCoalescer(iter([object()]), target=10))
+        with pytest.raises(TypeError):
+            list(macro.EventCoalescer(iter([object()]), target=0))
 
-    def test_mode_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MACRO_KERNELS", raising=False)
-        assert macro.active_mode() == macro.STAGED
-        monkeypatch.setenv("REPRO_MACRO_KERNELS", "reference")
-        assert macro.active_mode() == macro.REFERENCE
-        monkeypatch.setenv("REPRO_MACRO_KERNELS", "validate")
-        assert macro.active_mode() == macro.VALIDATE
-        with macro.forced(macro.STAGED):
-            assert macro.active_mode() == macro.STAGED
-        with pytest.raises(ValueError):
-            with macro.forced("bogus"):
-                pass
+    def test_zero_target_passes_every_event_through(self):
+        """target=0 is the per-event cadence: each event, an empty one
+        included, comes out alone and uncopied."""
+        events = [
+            AllocEvent("r", 4096), _access(10), _access(0),
+            AccessEvent([]), _access(3), FreeEvent("r"),
+        ]
+        items = list(macro.EventCoalescer(iter(events), target=0))
+        assert len(items) == len(events)
+        for item, event in zip(items, events):
+            assert item.event is event
+            assert item.events_fused == 1
 
 
 # -- spec identity -------------------------------------------------------------
@@ -170,28 +199,45 @@ class TestStagedVsReference:
         monkeypatch.setenv("REPRO_CHECK", "strict")
         spec = _spec(workload=workload, check="strict")
         with kernels.forced(mode):
-            assert _run(spec, macro.STAGED) == _run(spec, macro.REFERENCE)
+            staged = _run(spec)
+            with monkeypatch.context() as patch:
+                _use_reference_fusion(patch)
+                assert staged == _run(spec)
 
-    def test_validate_mode_runs_clean(self):
-        """validate computes both fusions per batch and must not trip."""
-        result = _run(_spec(), macro.VALIDATE)
-        assert result == _run(_spec(), macro.STAGED)
+    def test_validate_mode_runs_clean(self, monkeypatch):
+        """Per-batch differential: every fusion, at the per-event and at
+        the macro cadence, matches the reference -- multi-segment
+        interleaved events included -- and checking leaves the result
+        unchanged."""
+        specs = [_spec(macro_batch=0), _spec()]
+        clean = [_run(spec) for spec in specs]
+        segment_counts = _check_every_fusion(monkeypatch)
+        for spec, expected in zip(specs, clean):
+            segment_counts.clear()
+            assert _run(spec) == expected
+            assert max(segment_counts) > 1, "no multi-segment event fused"
 
-    def test_validate_mode_detects_divergence(self, monkeypatch):
-        """A corrupted staged fusion is caught on the first batch."""
-        original = Simulation._fuse_staged
-
-        def corrupted(regions, rels):
-            batch = original(regions, rels)
-            if len(batch):
-                batch.vpn[0] += 1
-            return batch
-
-        monkeypatch.setattr(Simulation, "_fuse_staged",
-                            staticmethod(corrupted))
-        with macro.forced(macro.VALIDATE):
-            with pytest.raises(AssertionError, match="diverged"):
-                _build(_spec()).run(max_accesses=20_000)
+    @pytest.mark.parametrize("macro_batch", [0, MACRO])
+    def test_empty_access_events_are_harmless(self, macro_batch,
+                                              monkeypatch):
+        """Zero-access and zero-segment events fuse to empty batches
+        (checked against the reference) and charge nothing."""
+        script = [
+            AllocEvent("a", 2 << 20), AllocEvent("b", 2 << 20),
+            AccessEvent([]), _access(0, "a"),
+            AccessEvent([("a", AccessBatch.loads(np.arange(64))),
+                         ("b", AccessBatch.loads(np.arange(64)))],
+                        interleave=True),
+            AccessEvent([]),
+        ]
+        segment_counts = _check_every_fusion(monkeypatch)
+        sim = Simulation(ScriptedWorkload(script), make_policy("memtis"),
+                         machine(), macro_batch=macro_batch)
+        result = sim.run()
+        assert result.metrics.total_accesses == 128
+        assert sim._events_consumed == len(script)
+        # Per event: each event alone; at MACRO: one fused group.
+        assert segment_counts == ([0, 1, 2, 0] if macro_batch == 0 else [3])
 
     def test_macro_preserves_access_stream_totals(self):
         """Coalescing re-groups the full stream without dropping
@@ -238,21 +284,23 @@ class TestMacroResume:
             assert _canon(resumed.run(max_accesses=spec.max_accesses)) \
                 == full, f"resume from epoch {k} diverged"
 
-    @pytest.mark.parametrize("mode", [macro.STAGED, macro.REFERENCE])
-    def test_kill_then_resume_is_bit_identical(self, tmp_path, mode):
+    @pytest.mark.parametrize("fusion", ["staged", "reference"])
+    def test_kill_then_resume_is_bit_identical(self, tmp_path, fusion,
+                                               monkeypatch):
         """Fault-injected kill mid-macro-run, resume from the store."""
-        with macro.forced(mode):
-            spec = _spec(snapshot_every=1)
-            clean = _canon(spec.execute(snapshots=None))
-            store = snapshot.SnapshotStore(tmp_path / "store")
-            injector = FaultInjector(FaultConfig(kill_at_epoch=1, seed=5))
-            with pytest.raises(SimulationKilled):
-                spec.execute(faults=injector, snapshots=store)
-            assert store.latest_epoch(spec) == 1
-            resumed = _canon(
-                spec.replace(resume=True).execute(snapshots=store)
-            )
-            assert resumed == clean
+        if fusion == "reference":
+            _use_reference_fusion(monkeypatch)
+        spec = _spec(snapshot_every=1)
+        clean = _canon(spec.execute(snapshots=None))
+        store = snapshot.SnapshotStore(tmp_path / "store")
+        injector = FaultInjector(FaultConfig(kill_at_epoch=1, seed=5))
+        with pytest.raises(SimulationKilled):
+            spec.execute(faults=injector, snapshots=store)
+        assert store.latest_epoch(spec) == 1
+        resumed = _canon(
+            spec.replace(resume=True).execute(snapshots=store)
+        )
+        assert resumed == clean
 
     def test_kill_under_fault_injection(self, tmp_path):
         """Chaos row with every injector active through the macro path."""

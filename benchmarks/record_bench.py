@@ -19,13 +19,9 @@ by scale and seed; wall-clock fields are the measurement.
 Usage::
 
     python benchmarks/record_bench.py --out benchmarks/BENCH_7.json
-    python benchmarks/record_bench.py --compare benchmarks/BENCH_7.json new.json
 
-``--compare`` normalises each scenario's throughput by the in-file
-``synthetic_2m_per_event`` baseline before diffing, so a uniformly
-faster or slower machine cancels out; it fails (exit 1) when any
-normalised throughput regresses by more than 20%, or when the headline
-trace macro/per-event ratio drops below 3x.
+Compare a recording against the committed trajectory with
+``python -m repro.analysis.trajectory --current <recording>``.
 """
 
 from __future__ import annotations
@@ -39,12 +35,6 @@ import tempfile
 import time
 
 FORMAT = 1
-#: Normalisation anchor for cross-machine comparison.
-BASELINE_SCENARIO = "synthetic_2m_per_event"
-#: Allowed normalised-throughput regression.
-TOLERANCE = 0.20
-#: Acceptance gate: trace replay with the coalescer vs without.
-HEADLINE = ("trace_10m_macro", "trace_10m_per_event", 3.0)
 
 #: Pinned scales (do not change without re-recording the trajectory).
 SYNTH_SCALE = dict(bytes_per_paper_gb=1024 * 1024,
@@ -147,35 +137,10 @@ def record(out_path: str) -> dict:
     return doc
 
 
-def compare(old_path: str, new_path: str) -> int:
-    """Diff two recordings via the shared ``repro.analysis.trajectory``
-    radar (same thresholds; this entry point predates it and is kept
-    for one-off use)."""
-    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    src = os.path.join(repo, "src")
-    if src not in sys.path:
-        sys.path.insert(0, src)
-    from repro.analysis.trajectory import compare_docs, format_report
-
-    with open(old_path) as fh:
-        old = json.load(fh)
-    with open(new_path) as fh:
-        new = json.load(fh)
-    report = compare_docs(old, new, tolerance=TOLERANCE, headline=HEADLINE)
-    print(format_report(report))
-    for failure in report["failures"]:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 0 if report["ok"] else 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", metavar="PATH",
                         help="record all scenarios and write the JSON")
-    parser.add_argument("--compare", nargs=2,
-                        metavar=("COMMITTED", "CURRENT"),
-                        help="diff two recordings (normalised, 20%% "
-                             "tolerance); exit 1 on regression")
     parser.add_argument("--scenario", choices=sorted(SCENARIOS),
                         help=argparse.SUPPRESS)  # subprocess entry
     parser.add_argument("--trace", help=argparse.SUPPRESS)
@@ -196,8 +161,6 @@ def main(argv=None) -> int:
     if args.scenario:
         json.dump(run_scenario(args.scenario, args.trace), sys.stdout)
         return 0
-    if args.compare:
-        return compare(*args.compare)
     if args.out:
         record(args.out)
         return 0

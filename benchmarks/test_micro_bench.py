@@ -21,16 +21,19 @@ from repro.workloads.silo import SiloWorkload
 
 import sys
 import os
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+_HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, _HERE)
 from conftest import run_once  # noqa: E402
 
-from repro import kernels  # noqa: E402
+# The scalar oracles live with the tests; append so the local conftest wins.
+sys.path.append(os.path.join(os.path.dirname(_HERE), "tests"))
+from kernel_oracles import SCALAR, VECTORIZED, installed  # noqa: E402
 
 MB = 1024 * 1024
 
 pytestmark = pytest.mark.bench
 
-KERNEL_MODES = [kernels.SCALAR, kernels.VECTORIZED]
+KERNEL_MODES = [SCALAR, VECTORIZED]
 
 
 class TestHistogramOps:
@@ -119,7 +122,7 @@ def _make_ksampled_fixture(region_mb=32):
 
 
 class TestKernelComparison:
-    """Scalar reference vs vectorized kernel on identical work items.
+    """Scalar test oracle vs vectorized kernel on identical work items.
 
     Run ``pytest benchmarks/test_micro_bench.py -k KernelComparison``
     and compare the ``[scalar]`` vs ``[vectorized]`` rows per kernel.
@@ -127,7 +130,7 @@ class TestKernelComparison:
 
     @pytest.mark.parametrize("mode", KERNEL_MODES)
     def test_sample_fold_100k(self, benchmark, mode):
-        with kernels.forced(mode):
+        with installed(mode):
             ctx, ks, region = _make_ksampled_fixture()
             vpns = np.random.default_rng(1).integers(
                 region.base_vpn, region.end_vpn, 100_000
@@ -138,7 +141,7 @@ class TestKernelComparison:
 
     @pytest.mark.parametrize("mode", KERNEL_MODES)
     def test_tlb_substream_64k(self, benchmark, mode):
-        with kernels.forced(mode):
+        with installed(mode):
             tlb = TLB(TLBConfig(sample_stride=1))
             rng = np.random.default_rng(0)
             vpns = rng.integers(0, 50_000, 65_536)
@@ -151,7 +154,7 @@ class TestKernelComparison:
     def test_demand_map_4k_pages(self, benchmark, batched):
         """Batch demand-map API vs the per-page loop it replaced."""
         from repro.mem.pages import SUBPAGES_PER_HUGE
-        from repro.mem.tiers import TierKind
+        from repro.mem.tiers import FASTEST_TIER
 
         ctx, ks, region = _make_ksampled_fixture()
         space = ctx.space
@@ -167,10 +170,10 @@ class TestKernelComparison:
 
         def sequential():
             for vpn in vpns:
-                space.demand_map(int(vpn), TierKind.FAST)
+                space.demand_map(int(vpn), FASTEST_TIER)
 
         def batch():
-            space.demand_map_many(vpns, TierKind.FAST)
+            space.demand_map_many(vpns, FASTEST_TIER)
 
         run_once(benchmark, batch if batched else sequential)
         assert bool(np.all(space.page_tier[vpns] >= 0))
@@ -196,12 +199,12 @@ class TestEndToEndThroughput:
 
     @pytest.mark.parametrize("mode", KERNEL_MODES)
     def test_memtis_400k_accesses(self, benchmark, mode):
-        """End-to-end memtis run under each kernel mode (speedup ratio)."""
+        """End-to-end memtis run on each kernel implementation."""
         from repro.sim.runner import RunSpec
         from conftest import BENCH_SCALE
 
         def run():
-            with kernels.forced(mode):
+            with installed(mode):
                 spec = RunSpec("silo", "memtis", ratio="1:8",
                                scale=BENCH_SCALE, seed=7,
                                max_accesses=400_000)

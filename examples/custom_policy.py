@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.analysis.tables import format_table
 from repro.mem.pages import BASE_PAGE_SIZE, HUGE_PAGE_SIZE
-from repro.mem.tiers import TierKind
+from repro.mem.tiers import FASTEST_TIER
 from repro.pebs.sampler import SamplerConfig
 from repro.policies.base import BatchObservation, TieringPolicy, Traits
 from repro.sim.engine import Simulation
@@ -76,8 +76,9 @@ class FrequencyThresholdPolicy(TieringPolicy):
         heads = np.where(space.page_huge[vpns], (vpns >> 9) << 9, vpns)
         np.add.at(self._count, heads, 1)
         hot = heads[self._count[heads] >= self.hot_after]
+        slowest = self.ctx.tiers.slowest_index
         for vpn in np.unique(hot).tolist():
-            if space.page_tier[vpn] == int(TierKind.CAPACITY):
+            if space.page_tier[vpn] == slowest:
                 self._pending.add(int(vpn))
         return 0.0  # background-only, like MEMTIS
 
@@ -87,19 +88,20 @@ class FrequencyThresholdPolicy(TieringPolicy):
         self._next_tick = now_ns + self.period_ns
         space, tiers = self.ctx.space, self.ctx.tiers
         for vpn in sorted(self._pending):
-            if space.page_tier[vpn] != int(TierKind.CAPACITY):
+            if space.page_tier[vpn] != tiers.slowest_index:
                 continue
             nbytes = HUGE_PAGE_SIZE if space.page_huge[vpn] else BASE_PAGE_SIZE
             if not tiers.fast.can_alloc(nbytes):
                 self._demote_coldest(nbytes)
             if not tiers.fast.can_alloc(nbytes):
                 break
-            self.ctx.migrator.migrate_page(vpn, TierKind.FAST, critical=False)
+            self.ctx.migrator.migrate_page(vpn, FASTEST_TIER, critical=False)
         self._pending.clear()
 
     def _demote_coldest(self, nbytes_needed: int) -> None:
         space = self.ctx.space
-        fast = np.flatnonzero(space.page_tier == int(TierKind.FAST))
+        slowest = self.ctx.tiers.slowest_index
+        fast = np.flatnonzero(space.page_tier == FASTEST_TIER)
         if not len(fast):
             return
         heads = np.unique(np.where(space.page_huge[fast], (fast >> 9) << 9, fast))
@@ -109,7 +111,7 @@ class FrequencyThresholdPolicy(TieringPolicy):
             if freed >= nbytes_needed:
                 break
             nbytes = HUGE_PAGE_SIZE if space.page_huge[vpn] else BASE_PAGE_SIZE
-            self.ctx.migrator.migrate_page(vpn, TierKind.CAPACITY, critical=False)
+            self.ctx.migrator.migrate_page(vpn, slowest, critical=False)
             freed += nbytes
 
     def on_unmap(self, base_vpn, num_vpns):

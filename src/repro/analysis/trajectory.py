@@ -15,9 +15,6 @@ that growing history:
 * :func:`radar` is the CI entry: compare the newest recording against
   the newest committed point, print the readable delta table (and the
   trend), exit non-zero on regression beyond tolerance.
-
-The thresholds are shared with ``record_bench.py --compare`` (which now
-delegates here), so the one-off CLI and the CI radar can never drift.
 """
 
 from __future__ import annotations

@@ -10,10 +10,8 @@ canonical surface:
   paper's two-tier ratio shorthand (``MachineSpec.from_ratio``);
 * tiers are addressed by integer index (0 = fastest) with
   ``promote_target(i)`` / ``demote_target(i)`` neighbour addressing;
-* the old binary surface (``TierKind.other``,
-  ``MachineSpec.all_fast/all_capacity``) survives as thin
-  ``DeprecationWarning`` shims over the N-tier forms -- see
-  :mod:`repro.mem.tiers` and :mod:`repro.sim.machine`.
+* all-fast / all-slow reference machines come from
+  ``MachineSpec.collapse_to_fastest()`` / ``collapse_to_slowest()``.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from repro.mem.tiers import (
     UNMAPPED_LABEL,
     TieredMemory,
     TierIndex,
-    TierKind,
     TierSpec,
     cxl_spec,
     dram_spec,
@@ -60,7 +57,6 @@ __all__ = [
     "TIER_UNMAPPED",
     "UNMAPPED_LABEL",
     "TierIndex",
-    "TierKind",
     "TierSpec",
     "TieredMemory",
     "tier_label",

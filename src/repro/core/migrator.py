@@ -139,9 +139,9 @@ class KMigrated:
         headroom = int(tiers.fast.capacity_bytes * self.config.free_space_fraction)
         reps = np.fromiter(queue, dtype=np.int64)
         # Sort ascending first: set iteration order depends on insertion
-        # history, which differs between the scalar and vectorized
-        # sample-folding kernels; a deterministic tie-break keeps both
-        # paths bit-identical.
+        # history, which differs between the sample-folding kernel and
+        # its per-sample test oracle; a deterministic tie-break keeps
+        # both bit-identical.
         reps.sort()
         # Hottest first: promote the most valuable pages into what fits.
         order = np.argsort(-self.ksampled.main_bin[reps], kind="stable")

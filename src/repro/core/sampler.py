@@ -25,17 +25,10 @@ from typing import Dict, Optional, Set
 
 import numpy as np
 
-from repro import kernels
 from repro.obs.tracer import DEBUG as TRACE_DEBUG
 from repro.core.config import MemtisConfig
 from repro.core.histogram import AccessHistogram, bin_of, bin_of_array
-from repro.kernels.sample_fold import (
-    FoldParams,
-    FoldState,
-    fold_samples_scalar,
-    fold_samples_validate,
-    fold_samples_vectorized,
-)
+from repro.kernels.sample_fold import FoldParams, FoldState, fold_samples
 from repro.core.thresholds import (
     INITIAL_THRESHOLDS,
     Thresholds,
@@ -244,11 +237,11 @@ class KSampled:
     def process_samples(self, samples: SampleBatch) -> None:
         """Fold one batch of PEBS records into all statistics.
 
-        Dispatches to the :mod:`repro.kernels.sample_fold` kernels:
-        the vectorized fold by default, the original per-sample loop
-        under ``REPRO_SCALAR_KERNELS=1``, or both with a state-equality
-        assertion in ``validate`` mode.  All paths produce bit-identical
-        counters, histograms and promotion-queue membership.
+        Runs the batched :func:`~repro.kernels.sample_fold.fold_samples`
+        kernel, looked up as a module global on every call so tests can
+        swap in the per-sample oracle from ``tests/kernel_oracles.py``;
+        both produce bit-identical counters, histograms and
+        promotion-queue membership.
         """
         space = self.ctx.space
         params = FoldParams(
@@ -270,13 +263,7 @@ class KSampled:
             hist=self.hist,
             base_hist=self.base_hist,
         )
-        mode = kernels.active_mode()
-        if mode == kernels.SCALAR:
-            res = fold_samples_scalar(state, samples.vpn, params)
-        elif mode == kernels.VALIDATE:
-            res = fold_samples_validate(state, samples.vpn, params)
-        else:
-            res = fold_samples_vectorized(state, samples.vpn, params)
+        res = fold_samples(state, samples.vpn, params)
 
         self.total_samples += res.processed
         self._since_adaptation += res.processed

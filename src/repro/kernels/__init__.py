@@ -1,65 +1,11 @@
-"""Hot-path kernel dispatch: vectorized numpy kernels vs scalar reference.
+"""Hot-path kernels: batched numpy forms of the simulator's inner loops.
 
-The simulator's three hot loops (ksampled sample folding, TLB lookup
-simulation, batch mapping ops) each exist in two exact-equivalent
-implementations:
+* :mod:`repro.kernels.sample_fold` -- the ksampled sample fold;
+* :mod:`repro.kernels.tlb_lru` -- set-associative LRU TLB lookups.
 
-* **vectorized** (default): batched numpy kernels -- the fast path;
-* **scalar**: the original per-element Python loops, kept as the
-  executable specification the kernels are checked against.
-
-Both produce bit-identical simulation state; the differential tests in
-``tests/test_kernels_differential.py`` enforce this on randomized
-streams and on full end-to-end runs.
-
-Mode selection (``REPRO_SCALAR_KERNELS``):
-
-* unset / ``0`` -- vectorized kernels (default);
-* ``1`` -- scalar reference path;
-* ``validate`` -- run *both* on every call and assert identical state
-  (slow; debugging aid for new kernels).
-
-Tests can pin a mode for a code region regardless of the environment
-with the :func:`forced` context manager.
+Each loop has exactly one implementation at runtime.  The per-element
+Python loops these kernels replaced live on in
+``tests/kernel_oracles.py`` as test oracles: the differential suites
+run both and assert bit-identical state, on randomized streams and on
+full end-to-end runs.
 """
-
-from __future__ import annotations
-
-import os
-from contextlib import contextmanager
-from typing import Iterator, Optional
-
-#: Mode names (the ``REPRO_SCALAR_KERNELS`` values they correspond to).
-VECTORIZED = "vectorized"
-SCALAR = "scalar"
-VALIDATE = "validate"
-
-_MODES = (VECTORIZED, SCALAR, VALIDATE)
-
-_forced: Optional[str] = None
-
-
-def active_mode() -> str:
-    """Resolve the kernel mode for this call (forced > environment)."""
-    if _forced is not None:
-        return _forced
-    env = os.environ.get("REPRO_SCALAR_KERNELS", "").strip().lower()
-    if env in ("", "0", "false", "vectorized"):
-        return VECTORIZED
-    if env == "validate":
-        return VALIDATE
-    return SCALAR
-
-
-@contextmanager
-def forced(mode: str) -> Iterator[None]:
-    """Pin the kernel mode within a ``with`` block (tests/benchmarks)."""
-    if mode not in _MODES:
-        raise ValueError(f"unknown kernel mode {mode!r}; expected {_MODES}")
-    global _forced
-    prev = _forced
-    _forced = mode
-    try:
-        yield
-    finally:
-        _forced = prev

@@ -1,10 +1,11 @@
-"""Batch sample-folding kernel for `ksampled` (scalar + vectorized).
+"""Batch sample-folding kernel for `ksampled`.
 
-``fold_samples_*`` folds one :class:`~repro.pebs.sampler.SampleBatch`
+:func:`fold_samples` folds one :class:`~repro.pebs.sampler.SampleBatch`
 into the ksampled state bundle: page counters, main/base histogram bins,
-rHR/eHR estimation and the promotion queue.  The scalar variant is the
-original per-sample loop; the vectorized variant reproduces its final
-state bit-for-bit from per-vpn group arithmetic.
+rHR/eHR estimation and the promotion queue.  It reproduces the final
+state of the original per-sample loop bit-for-bit from per-vpn group
+arithmetic; that loop is kept as a test oracle in
+``tests/kernel_oracles.py``.
 
 Why exact equivalence is possible
 ---------------------------------
@@ -13,7 +14,7 @@ Within one fold call nothing outside the batch mutates: thresholds,
 mapping shapes are all constant.  Each sample increments its page's
 counter by one, so per-page hotness is *strictly increasing* across the
 batch and the histogram-bin trajectory of each page is monotone.
-Consequences exploited by the vectorized kernel:
+Consequences exploited by the kernel:
 
 * the net histogram effect of k samples of one page is a single
   ``old_bin -> final_bin`` move (intermediate moves telescope away);
@@ -24,7 +25,7 @@ Consequences exploited by the vectorized kernel:
   strict cut-exceedances has a closed form and *at most one* occurrence
   per page can tie the cut exactly (the sequence is strictly
   increasing).  Every tie adds the same fractional credit, which makes
-  the tie-credit accumulator order-independent: the scalar float
+  the tie-credit accumulator order-independent: the per-sample float
   recurrence is replayed once per tie, in any order, to the same bits.
 """
 
@@ -35,7 +36,7 @@ from typing import List
 
 import numpy as np
 
-from repro.core.histogram import AccessHistogram, bin_of, bin_of_array
+from repro.core.histogram import AccessHistogram, bin_of_array
 from repro.mem.pages import SUBPAGES_PER_HUGE
 
 
@@ -50,22 +51,6 @@ class FoldState:
     base_bin: np.ndarray
     hist: AccessHistogram
     base_hist: AccessHistogram
-
-    def clone(self) -> "FoldState":
-        """Deep copy for validate-mode shadow execution."""
-        hist = AccessHistogram()
-        hist.bins[:] = self.hist.bins
-        base_hist = AccessHistogram()
-        base_hist.bins[:] = self.base_hist.bins
-        return FoldState(
-            sub_count=self.sub_count.copy(),
-            huge_count=self.huge_count.copy(),
-            main_bin=self.main_bin.copy(),
-            main_weight=self.main_weight.copy(),
-            base_bin=self.base_bin.copy(),
-            hist=hist,
-            base_hist=base_hist,
-        )
 
 
 @dataclass(frozen=True)
@@ -94,89 +79,10 @@ class FoldResult:
     promoted: List[int] = field(default_factory=list)
 
 
-def fold_samples_scalar(
+def fold_samples(
     state: FoldState, vpns: np.ndarray, params: FoldParams
 ) -> FoldResult:
-    """Reference implementation: the original per-sample loop."""
-    page_tier = params.page_tier
-    page_huge = params.page_huge
-    sub_count = state.sub_count
-    huge_count = state.huge_count
-    hist = state.hist
-    base_hist = state.base_hist
-    fast = params.fast
-    t_hot = params.t_hot
-    comp = params.comp
-    base_cut = params.base_cut
-    res = FoldResult(tie_credit=params.tie_credit)
-    tie_credit = params.tie_credit
-
-    for vpn in np.asarray(vpns).tolist():
-        if page_tier[vpn] < 0:
-            continue  # freed between access and drain
-        res.processed += 1
-
-        sub_count[vpn] += 1
-        if page_huge[vpn]:
-            hpn = vpn >> 9
-            huge_count[hpn] += 1
-            rep = hpn << 9
-            hotness = int(huge_count[hpn])
-            weight = SUBPAGES_PER_HUGE
-        else:
-            rep = vpn
-            hotness = int(sub_count[vpn]) * comp
-            weight = 1
-
-        # Page access histogram update (possibly crossing a bin).
-        new_bin = bin_of(hotness)
-        old_bin = int(state.main_bin[rep])
-        if old_bin < 0:
-            hist.add(new_bin, weight)
-            state.main_weight[rep] = weight
-            state.main_bin[rep] = new_bin
-        elif new_bin != old_bin:
-            hist.move(old_bin, new_bin, weight)
-            state.main_bin[rep] = new_bin
-
-        # Emulated base page histogram (4 KiB granularity).
-        base_hotness = int(sub_count[vpn]) * comp
-        new_base_bin = bin_of(base_hotness)
-        old_base_bin = int(state.base_bin[vpn])
-        if old_base_bin < 0:
-            base_hist.add(new_base_bin, 1)
-            state.base_bin[vpn] = new_base_bin
-        elif new_base_bin != old_base_bin:
-            base_hist.move(old_base_bin, new_base_bin, 1)
-            state.base_bin[vpn] = new_base_bin
-
-        # rHR: did this access land in the fast tier?
-        if page_tier[vpn] == fast:
-            res.rhr_hits += 1
-        # eHR: would it hit if only the hottest base pages were fast?
-        # Judged on the page's hotness *before* this sample; ties at the
-        # cut earn fractional credit for the slots they share.
-        pre_hotness = base_hotness - comp
-        if pre_hotness > base_cut:
-            res.ehr_hits += 1
-        elif pre_hotness == base_cut:
-            tie_credit += params.base_cut_fraction
-            if tie_credit >= 1.0:
-                tie_credit -= 1.0
-                res.ehr_hits += 1
-
-        # Hot page off the fastest tier: promotion candidate (§4.2.3).
-        if new_bin >= t_hot and page_tier[vpn] != fast:
-            res.promoted.append(int(rep))
-
-    res.tie_credit = tie_credit
-    return res
-
-
-def fold_samples_vectorized(
-    state: FoldState, vpns: np.ndarray, params: FoldParams
-) -> FoldResult:
-    """Batched fold: bit-identical final state to the scalar loop."""
+    """Fold one batch: bit-identical final state to the per-sample loop."""
     vpns = np.asarray(vpns, dtype=np.int64)
     tier = params.page_tier[vpns]
     kept = vpns[tier >= 0]
@@ -227,7 +133,7 @@ def fold_samples_vectorized(
     state.main_bin[reps] = new_bins.astype(state.main_bin.dtype)
     absent = reps[~present]
     if len(absent):
-        # The scalar loop only writes main_weight on first sighting.
+        # The per-sample loop only writes main_weight on first sighting.
         state.main_weight[absent] = weights[~present].astype(
             state.main_weight.dtype
         )
@@ -258,9 +164,9 @@ def fold_samples_vectorized(
     tie_credit = params.tie_credit
     if base_cut % comp == 0:
         m = int(np.count_nonzero((c0 <= q) & (q < c0 + counts)))
-        # Replay the scalar float recurrence once per tie; every tie adds
-        # the same credit so the result is order-independent, and a
-        # closed form would not round identically.
+        # Replay the per-sample float recurrence once per tie; every tie
+        # adds the same credit so the result is order-independent, and
+        # a closed form would not round identically.
         f = params.base_cut_fraction
         for _ in range(m):
             tie_credit += f
@@ -279,32 +185,3 @@ def fold_samples_vectorized(
         tie_credit=tie_credit,
         promoted=[int(r) for r in promo],
     )
-
-
-def fold_samples_validate(
-    state: FoldState, vpns: np.ndarray, params: FoldParams
-) -> FoldResult:
-    """Run both kernels; assert bit-identical state; return the fast one."""
-    shadow = state.clone()
-    ref = fold_samples_scalar(shadow, vpns, params)
-    res = fold_samples_vectorized(state, vpns, params)
-
-    if not (
-        res.processed == ref.processed
-        and res.rhr_hits == ref.rhr_hits
-        and res.ehr_hits == ref.ehr_hits
-        and res.tie_credit == ref.tie_credit
-        and set(res.promoted) == set(ref.promoted)
-    ):
-        raise AssertionError(
-            f"fold kernel mismatch: vectorized {res} != scalar {ref}"
-        )
-    for name in ("sub_count", "huge_count", "main_bin", "main_weight",
-                 "base_bin"):
-        if not np.array_equal(getattr(state, name), getattr(shadow, name)):
-            raise AssertionError(f"fold kernel mismatch in {name}")
-    if not np.array_equal(state.hist.bins, shadow.hist.bins):
-        raise AssertionError("fold kernel mismatch in main histogram")
-    if not np.array_equal(state.base_hist.bins, shadow.base_hist.bins):
-        raise AssertionError("fold kernel mismatch in base histogram")
-    return res

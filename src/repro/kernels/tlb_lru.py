@@ -22,7 +22,8 @@ insert at the front, invalidations shift-left).
    row (move-to-front on hit, shift-in/evict-LRU on miss).
 
 The result -- hit/miss counts and final matrix state -- is bit-identical
-to running the per-lookup scalar list implementation.
+to running the per-lookup list implementation it replaced (kept as a
+test oracle in ``tests/kernel_oracles.py``).
 """
 
 from __future__ import annotations

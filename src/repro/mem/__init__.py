@@ -25,7 +25,6 @@ from repro.mem.tiers import (
     MemoryTier,
     TieredMemory,
     TierIndex,
-    TierKind,
     TierSpec,
     tier_label,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "UNMAPPED_LABEL",
     "TierIndex",
     "tier_label",
-    "TierKind",
     "TierSpec",
     "MemoryTier",
     "TieredMemory",

@@ -17,12 +17,12 @@ strided substream of the access trace and scales the resulting miss
 counts back up; the stride is part of :class:`TLBConfig` so experiments
 can trade accuracy for time.
 
-Two implementations exist behind :mod:`repro.kernels` dispatch: the
-default array-backed kernel (:mod:`repro.kernels.tlb_lru`) simulates
-whole substreams with batched numpy LRU transitions, while the scalar
-per-lookup list implementation is kept as the reference path
-(``REPRO_SCALAR_KERNELS=1``; ``validate`` runs both and asserts
-identical hits, misses and array state).
+The set-associative arrays are simulated by the batched numpy kernel in
+:mod:`repro.kernels.tlb_lru`, which runs whole substreams with
+vectorized LRU transitions.  The per-lookup list implementation it
+replaced is kept as a test oracle in ``tests/kernel_oracles.py``; tests
+swap it in through the module-level ``_ArraySetAssoc`` name, which
+:class:`TLB` looks up when it builds its arrays.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro import kernels
 from repro.kernels.tlb_lru import (
     lru_batch,
     lru_flush,
@@ -101,77 +100,9 @@ class TLBStats:
         return self.misses / self.lookups if self.lookups else 0.0
 
 
-class _SetAssocArray:
-    """Scalar reference: one set-associative LRU array of per-set lists."""
-
-    __slots__ = ("num_sets", "ways", "sets")
-
-    def __init__(self, entries: int, ways: int):
-        self.num_sets = entries // ways
-        self.ways = ways
-        # Each set is a most-recently-used-first list of tags.
-        self.sets: List[List[int]] = [[] for _ in range(self.num_sets)]
-
-    def access(self, tag: int) -> bool:
-        """Touch ``tag``; returns True on hit.  Fills on miss (LRU evict)."""
-        entry_set = self.sets[tag % self.num_sets]
-        try:
-            entry_set.remove(tag)
-        except ValueError:
-            if len(entry_set) >= self.ways:
-                entry_set.pop()
-            entry_set.insert(0, tag)
-            return False
-        entry_set.insert(0, tag)
-        return True
-
-    def access_batch(self, tag_stream: np.ndarray) -> Tuple[int, int]:
-        """Per-lookup loop over a stream; returns (hits, misses)."""
-        hits = 0
-        for tag in np.asarray(tag_stream).tolist():
-            if self.access(tag):
-                hits += 1
-        return hits, len(tag_stream) - hits
-
-    def invalidate(self, tag: int) -> bool:
-        entry_set = self.sets[tag % self.num_sets]
-        try:
-            entry_set.remove(tag)
-            return True
-        except ValueError:
-            return False
-
-    def invalidate_range(self, lo: int, hi: int) -> int:
-        """Remove every tag in ``[lo, hi)``; returns the number removed."""
-        removed = 0
-        for s in self.sets:
-            kept = [t for t in s if not lo <= t < hi]
-            removed += len(s) - len(kept)
-            s[:] = kept
-        return removed
-
-    def flush(self) -> int:
-        count = sum(len(s) for s in self.sets)
-        for s in self.sets:
-            s.clear()
-        return count
-
-    def state_rows(self) -> List[List[int]]:
-        """Per-set MRU-first tag lists (for cross-implementation checks)."""
-        return [list(s) for s in self.sets]
-
-    def load_rows(self, rows: List[List[int]]) -> None:
-        """Restore from :meth:`state_rows` output (checkpoint resume)."""
-        if len(rows) != self.num_sets:
-            raise ValueError(
-                f"checkpoint has {len(rows)} sets, TLB has {self.num_sets}"
-            )
-        for s, row in zip(self.sets, rows):
-            s[:] = [int(t) for t in row]
-
-
 class _ArraySetAssoc:
-    """Vectorized array: an (num_sets, ways) MRU-first tag matrix."""
+    """One set-associative LRU array: an (num_sets, ways) MRU-first tag
+    matrix driven by the :mod:`repro.kernels.tlb_lru` kernels."""
 
     __slots__ = ("num_sets", "ways", "tags")
 
@@ -193,9 +124,11 @@ class _ArraySetAssoc:
         return lru_flush(self.tags)
 
     def state_rows(self) -> List[List[int]]:
+        """Per-set MRU-first tag lists (checkpoints, oracle checks)."""
         return [[int(t) for t in row if t != -1] for row in self.tags]
 
     def load_rows(self, rows: List[List[int]]) -> None:
+        """Restore from :meth:`state_rows` output (checkpoint resume)."""
         if len(rows) != self.num_sets:
             raise ValueError(
                 f"checkpoint has {len(rows)} sets, TLB has {self.num_sets}"
@@ -206,78 +139,14 @@ class _ArraySetAssoc:
                 self.tags[i, : len(row)] = row
 
 
-class _ValidatingSetAssoc:
-    """Runs scalar and array implementations side by side, asserting."""
-
-    __slots__ = ("scalar", "array")
-
-    def __init__(self, entries: int, ways: int):
-        self.scalar = _SetAssocArray(entries, ways)
-        self.array = _ArraySetAssoc(entries, ways)
-
-    def _check_state(self, op: str) -> None:
-        if self.scalar.state_rows() != self.array.state_rows():
-            raise AssertionError(f"TLB kernel state mismatch after {op}")
-
-    def access_batch(self, tag_stream: np.ndarray) -> Tuple[int, int]:
-        ref = self.scalar.access_batch(tag_stream)
-        got = self.array.access_batch(tag_stream)
-        if ref != got:
-            raise AssertionError(
-                f"TLB kernel mismatch: array {got} != scalar {ref}"
-            )
-        self._check_state("access_batch")
-        return got
-
-    def invalidate(self, tag: int) -> bool:
-        ref = self.scalar.invalidate(tag)
-        got = self.array.invalidate(tag)
-        if ref != got:
-            raise AssertionError("TLB kernel invalidate mismatch")
-        self._check_state("invalidate")
-        return got
-
-    def invalidate_range(self, lo: int, hi: int) -> int:
-        ref = self.scalar.invalidate_range(lo, hi)
-        got = self.array.invalidate_range(lo, hi)
-        if ref != got:
-            raise AssertionError("TLB kernel invalidate_range mismatch")
-        self._check_state("invalidate_range")
-        return got
-
-    def flush(self) -> int:
-        ref = self.scalar.flush()
-        got = self.array.flush()
-        if ref != got:
-            raise AssertionError("TLB kernel flush mismatch")
-        return got
-
-    def state_rows(self) -> List[List[int]]:
-        self._check_state("state_rows")
-        return self.array.state_rows()
-
-    def load_rows(self, rows: List[List[int]]) -> None:
-        self.scalar.load_rows(rows)
-        self.array.load_rows(rows)
-
-
-def _make_array(entries: int, ways: int, mode: str):
-    if mode == kernels.SCALAR:
-        return _SetAssocArray(entries, ways)
-    if mode == kernels.VALIDATE:
-        return _ValidatingSetAssoc(entries, ways)
-    return _ArraySetAssoc(entries, ways)
-
-
 class TLB:
     """Split 4K/2M TLB driven by the engine's strided substream."""
 
     def __init__(self, config: TLBConfig = TLBConfig()):
         self.config = config
         self.stats = TLBStats()
-        mode = kernels.active_mode()
-        self._tlb_4k = _make_array(config.entries_4k, config.ways, mode)
-        self._tlb_2m = _make_array(config.entries_2m, config.ways, mode)
+        self._tlb_4k = _ArraySetAssoc(config.entries_4k, config.ways)
+        self._tlb_2m = _ArraySetAssoc(config.entries_2m, config.ways)
 
     def access_substream(self, vpns: np.ndarray, is_huge: np.ndarray) -> int:
         """Run the (already strided) substream through the TLB.
@@ -354,9 +223,9 @@ class TLB:
         self.stats.invalidated_entries += self._tlb_2m.flush()
 
     # -- checkpoint support --------------------------------------------------
-    # ``state_rows()`` is the canonical MRU-first form shared by every
-    # kernel implementation, so a checkpoint written in one kernel mode
-    # loads bit-identically in another.
+    # ``state_rows()`` is the canonical MRU-first per-set tag form; the
+    # test oracle reads and writes the same form, so a checkpoint taken
+    # with one array implementation loads bit-identically into the other.
 
     def state_dict(self) -> dict:
         return {

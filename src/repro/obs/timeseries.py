@@ -23,9 +23,10 @@ spans every recorded row.
 The recorder is purely observational: it reads the registry and never
 writes simulation state, so a telemetry-enabled run stays bit-identical
 to a disabled one outside the serialised ``timeseries`` block (enforced
-by ``tests/test_timeseries.py`` in both kernel modes under strict
-checks).  :meth:`state_dict`/:meth:`load_state` round-trip the full
-recorder -- including the per-counter last-seen values the deltas are
+by ``tests/test_timeseries.py`` on the runtime kernels and on the
+scalar test oracles, under strict checks).
+:meth:`state_dict`/:meth:`load_state` round-trip the full recorder --
+including the per-counter last-seen values the deltas are
 computed against -- so a checkpointed run resumes with a *contiguous*
 series: ``run(N)`` and ``run(k) -> save -> load -> run(N-k)`` produce
 identical series.

@@ -617,9 +617,6 @@ class Simulation:
         self._epoch_index = state["epoch_index"]
         self._epoch_start_ns = state["epoch_start_ns"]
         self._phase_ns = dict(state["phase_ns"])
-        # Checkpoints written before the macro-batch engine predate the
-        # generation phase counter.
-        self._phase_ns.setdefault("gen_ns", 0.0)
         self._events_consumed = state["events_consumed"]
         self.rng.bit_generator.state = state["rng"]
         self.ctx.rng.bit_generator.state = state["ctx_rng"]

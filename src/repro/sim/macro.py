@@ -26,12 +26,13 @@ Either way the engine fuses each item with one grouped rebase
 ``np.repeat`` base vector).  It is held bit-identical to the
 per-segment reference fusion (``Simulation._fuse_reference``, kept as a
 test oracle) by ``tests/test_macro_batch.py``, per batch and end to end
-in both kernel modes under strict checks.
+(on the runtime kernels and on the scalar test oracles) under strict
+checks.
 
 Epoch/snapshot/sanitizer boundaries are batch aligned: a fused batch is
 processed by the very same ``_process_batch``, so ``_close_epoch``,
 checkpointing and fault-injection timing fire at batch boundaries at
-every cadence, across kernel modes, and through kill/resume.
+every cadence and through kill/resume.
 """
 
 from __future__ import annotations

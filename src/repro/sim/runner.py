@@ -56,7 +56,8 @@ from repro.workloads.registry import make_workload
 #: split-candidate tie-breaking, capacity-window bandwidth-model rho.
 SPEC_SCHEMA_VERSION = 5
 
-#: Machine variants a spec can request (see :meth:`MachineSpec.all_capacity`).
+#: Machine variants a spec can request (see
+#: :meth:`MachineSpec.collapse_to_slowest` / ``collapse_to_fastest``).
 MACHINE_VARIANTS = ("tiered", "all-capacity", "all-fast")
 
 

@@ -8,7 +8,8 @@ histograms, per-page counters, ksampled/kmigrated queues and split
 bookkeeping), the shared counter registry, and the fault injector.  The
 guarantee -- enforced by ``tests/test_snapshot.py`` -- is that
 ``run(N)`` and ``run(k) -> save -> load -> run(N-k)`` produce
-bit-identical ``SimResult.to_dict()`` in every kernel mode.
+bit-identical ``SimResult.to_dict()``, on the runtime kernels and on
+the scalar test oracles alike.
 
 Storage layout::
 
@@ -50,7 +51,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.runner import RunSpec
 
 #: Bump when the on-disk entry/manifest layout changes.
-SNAPSHOT_FORMAT_VERSION = 1
+#: v2: the engine state always carries every phase counter (``gen_ns``
+#: included); format-1 entries may lack it and are refused as misses.
+SNAPSHOT_FORMAT_VERSION = 2
 
 _EPOCH_RE = re.compile(r"^epoch-(\d{8})\.pkl$")
 

@@ -5,13 +5,16 @@ import pytest
 
 from repro.mem.address_space import AddressSpace
 from repro.mem.migration import MigrationEngine
-from repro.mem.tiers import TieredMemory, TierKind, dram_spec, nvm_spec
+from repro.mem.tiers import TieredMemory, dram_spec, nvm_spec
 from repro.mem.tlb import TLB, TLBConfig
 from repro.pebs.sampler import PEBSSampler, SamplerConfig
 from repro.policies.base import PolicyContext
 from repro.sim.machine import MachineSpec, ScaleSpec
 
 MB = 1024 * 1024
+
+#: Index of the capacity (slowest) tier on the two-tier test machines.
+CAPACITY_TIER = 1
 
 #: Tiny scale for end-to-end tests (seconds, not minutes).
 TEST_SCALE = ScaleSpec(
@@ -91,6 +94,20 @@ def _snapshot_store_in_tmpdir(tmp_path, monkeypatch):
     snapshot.configure(snap_dir)
     yield
     snapshot.reset()
+
+
+@pytest.fixture
+def validating_kernels():
+    """Check every fold and TLB call against its scalar oracle.
+
+    Installs the ``kernel_oracles`` validating wrappers for the test;
+    a test that pins one implementation with ``installed(...)`` runs
+    that one instead for the duration of its block.
+    """
+    from kernel_oracles import VALIDATE, installed
+
+    with installed(VALIDATE):
+        yield
 
 
 @pytest.fixture

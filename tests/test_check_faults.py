@@ -6,11 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.check import FaultConfig, FaultInjector
 from repro.sim.runner import RunSpec
 
 from conftest import TEST_SCALE, make_context
+from kernel_oracles import BOTH, VECTORIZED, installed
 
 MB = 1024 * 1024
 
@@ -134,7 +134,7 @@ CHAOS_CASES = {
 def chaos_run(config, mode):
     spec = RunSpec("silo", "memtis", scale=TEST_SCALE,
                    max_accesses=150_000, check="strict")
-    with kernels.forced(mode):
+    with installed(mode):
         inj = FaultInjector(config)
         sim = spec.build(faults=inj)
         result = sim.run(max_accesses=spec.max_accesses)
@@ -148,11 +148,11 @@ def result_fingerprint(result):
     return json.dumps(d, sort_keys=True)
 
 
-@pytest.mark.parametrize("mode", [kernels.VECTORIZED, kernels.SCALAR])
+@pytest.mark.parametrize("mode", BOTH)
 @pytest.mark.parametrize("case", sorted(CHAOS_CASES))
 class TestChaos:
     """memtis stays invariant-clean and deterministic under every
-    injector, in both kernel modes, with the sanitizer at strict."""
+    injector, in both kernel implementations, with the sanitizer at strict."""
 
     def test_chaos_clean_and_deterministic(self, case, mode):
         config, stat = CHAOS_CASES[case]
@@ -170,6 +170,6 @@ class TestChaos:
 def test_all_injectors_together():
     config = FaultConfig(seed=9, drop_sample_prob=0.1, dup_sample_prob=0.1,
                          alloc_fail_prob=0.3, tick_delay_prob=0.3)
-    inj, result = chaos_run(config, kernels.VECTORIZED)
+    inj, result = chaos_run(config, VECTORIZED)
     assert result.metrics.total_accesses > 0
     assert sum(inj.stats.values()) > 0

@@ -1,12 +1,11 @@
 """The invariant sanitizer: level selection, each check's trigger, and
-strict-clean acceptance runs in both kernel modes."""
+strict-clean acceptance runs in both kernel implementations."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.check import (
     CheckLevel,
     InvariantViolation,
@@ -17,10 +16,11 @@ from repro.check import (
 from repro.core.config import MemtisConfig
 from repro.core.migrator import KMigrated
 from repro.core.sampler import KSampled
-from repro.mem.tiers import TierKind
+from repro.mem.tiers import FASTEST_TIER
 from repro.sim.runner import RunSpec
 
-from conftest import TEST_SCALE, make_context
+from conftest import CAPACITY_TIER, TEST_SCALE, make_context
+from kernel_oracles import BOTH, installed
 
 MB = 1024 * 1024
 
@@ -117,48 +117,48 @@ class TestInvariantTriggers:
     def test_clean_state_passes(self):
         ctx = make_context()
         ks, km = build_memtis(ctx)
-        alloc(ctx, ks, 4, TierKind.FAST)
-        alloc(ctx, ks, 2, TierKind.CAPACITY, thp=False)
+        alloc(ctx, ks, 4, FASTEST_TIER)
+        alloc(ctx, ks, 2, CAPACITY_TIER, thp=False)
         make_sanitizer(ctx, ks, km).run_checks()
 
     def test_tier_accounting(self):
         ctx = make_context()
-        alloc(ctx, None, 2, TierKind.FAST)
+        alloc(ctx, None, 2, FASTEST_TIER)
         ctx.tiers.fast.used_bytes += 4096  # phantom bytes
         assert "tier-accounting" in findings_of(make_sanitizer(ctx))
 
     def test_mapping_shape_partial_huge(self):
         ctx = make_context()
-        region = alloc(ctx, None, 2, TierKind.FAST)
+        region = alloc(ctx, None, 2, FASTEST_TIER)
         ctx.space.page_huge[region.base_vpn + 3] = False  # torn flag run
         assert "mapping-shape" in findings_of(make_sanitizer(ctx))
 
     def test_tier_accounting_flipped_page_tier(self):
         ctx = make_context()
-        region = alloc(ctx, None, 2, TierKind.FAST, thp=False)
+        region = alloc(ctx, None, 2, FASTEST_TIER, thp=False)
         # page_tier says capacity while the bytes were charged to fast:
         # per-tier byte totals disagree with the array.
-        ctx.space.page_tier[region.base_vpn] = int(TierKind.CAPACITY)
+        ctx.space.page_tier[region.base_vpn] = CAPACITY_TIER
         assert "tier-accounting" in findings_of(make_sanitizer(ctx))
 
     def test_histogram_mass_weight_tamper(self):
         ctx = make_context()
         ks, km = build_memtis(ctx)
-        region = alloc(ctx, ks, 2, TierKind.FAST)
+        region = alloc(ctx, ks, 2, FASTEST_TIER)
         ks.main_weight[region.base_vpn] = 7  # not a legal weight shape
         assert "histogram-mass" in findings_of(make_sanitizer(ctx, ks, km))
 
     def test_histogram_mass_bin_drift(self):
         ctx = make_context()
         ks, km = build_memtis(ctx)
-        alloc(ctx, ks, 2, TierKind.FAST)
+        alloc(ctx, ks, 2, FASTEST_TIER)
         ks.hist.bins[0] += 5  # mass not backed by any page
         assert "histogram-mass" in findings_of(make_sanitizer(ctx, ks, km))
 
     def test_promotion_queue_non_representative(self):
         ctx = make_context()
         ks, km = build_memtis(ctx)
-        region = alloc(ctx, ks, 2, TierKind.CAPACITY)
+        region = alloc(ctx, ks, 2, CAPACITY_TIER)
         interior = region.base_vpn + 17  # not the huge head
         ks.main_bin[interior] = 5
         ks.promotion_queue.add(interior)
@@ -175,7 +175,7 @@ class TestInvariantTriggers:
         # entries are legal.
         ctx = make_context()
         ks, km = build_memtis(ctx)
-        region = alloc(ctx, ks, 2, TierKind.FAST)
+        region = alloc(ctx, ks, 2, FASTEST_TIER)
         ks.promotion_queue.add(region.base_vpn)        # already on fast
         ks.promotion_queue.add(ctx.space.num_vpns - 1)  # never mapped
         make_sanitizer(ctx, ks, km).run_checks()
@@ -183,7 +183,7 @@ class TestInvariantTriggers:
     def test_split_bookkeeping_queue_not_tracked(self):
         ctx = make_context()
         ks, km = build_memtis(ctx)
-        region = alloc(ctx, ks, 2, TierKind.FAST)
+        region = alloc(ctx, ks, 2, FASTEST_TIER)
         km.split_queue.append(region.base_vpn >> 9)  # not in split_hpns
         assert "split-bookkeeping" in findings_of(
             make_sanitizer(ctx, ks, km))
@@ -191,7 +191,7 @@ class TestInvariantTriggers:
     def test_split_bookkeeping_survived_free(self):
         ctx = make_context()
         ks, km = build_memtis(ctx)
-        region = alloc(ctx, ks, 2, TierKind.FAST)
+        region = alloc(ctx, ks, 2, FASTEST_TIER)
         km.split_hpns.add(region.base_vpn >> 9)
         ctx.space.free_region(region)  # km.on_unmap not wired here
         assert "split-bookkeeping" in findings_of(
@@ -199,7 +199,7 @@ class TestInvariantTriggers:
 
     def test_tlb_coherence_stale_entry(self):
         ctx = make_context()
-        region = alloc(ctx, None, 2, TierKind.FAST, thp=False)
+        region = alloc(ctx, None, 2, FASTEST_TIER, thp=False)
         vpns = np.array([region.base_vpn], dtype=np.int64)
         ctx.tlb.access_substream(vpns, np.zeros(1, dtype=bool))
         # Unmap without a shootdown: the entry is now stale.
@@ -210,7 +210,7 @@ class TestInvariantTriggers:
         # The engine's free path invalidates the freed range, so the
         # same sequence through Simulation-level helpers stays clean.
         ctx = make_context()
-        region = alloc(ctx, None, 2, TierKind.FAST, thp=False)
+        region = alloc(ctx, None, 2, FASTEST_TIER, thp=False)
         vpns = np.array([region.base_vpn], dtype=np.int64)
         ctx.tlb.access_substream(vpns, np.zeros(1, dtype=bool))
         ctx.space.free_region(region)
@@ -219,7 +219,7 @@ class TestInvariantTriggers:
 
     def test_violation_carries_context(self):
         ctx = make_context()
-        alloc(ctx, None, 2, TierKind.FAST)
+        alloc(ctx, None, 2, FASTEST_TIER)
         ctx.tiers.fast.used_bytes += 4096
         san = make_sanitizer(ctx)
         with pytest.raises(InvariantViolation) as exc:
@@ -230,12 +230,12 @@ class TestInvariantTriggers:
         assert "tier-accounting" in str(err)
 
 
-@pytest.mark.parametrize("mode", [kernels.VECTORIZED, kernels.SCALAR])
+@pytest.mark.parametrize("mode", BOTH)
 class TestStrictAcceptance:
     """`--check=strict` on default memtis completes violation-free."""
 
     def test_strict_memtis_run_clean(self, mode):
-        with kernels.forced(mode):
+        with installed(mode):
             spec = RunSpec("silo", "memtis", scale=TEST_SCALE,
                            max_accesses=120_000, check="strict")
             result = spec.run(cache=None)
@@ -245,7 +245,7 @@ class TestStrictAcceptance:
 
     def test_strict_via_env(self, mode, monkeypatch):
         monkeypatch.setenv("REPRO_CHECK", "strict")
-        with kernels.forced(mode):
+        with installed(mode):
             spec = RunSpec("silo", "memtis", scale=TEST_SCALE,
                            max_accesses=60_000)
             sim = spec.build()

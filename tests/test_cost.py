@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mem.tiers import TieredMemory, TierKind, cxl_spec, dram_spec, nvm_spec
+from repro.mem.tiers import TieredMemory, cxl_spec, dram_spec, nvm_spec
 from repro.sim.cost import CostModel
 
 MB = 1024 * 1024

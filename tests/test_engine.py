@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.mem.tiers import TierKind
 from repro.pebs.events import AccessBatch
 from repro.policies.static import AllCapacityPolicy, AllFastPolicy
 from repro.sim.cost import CostModel
 from repro.sim.engine import Simulation
 from repro.sim.machine import MachineSpec
 from repro.workloads.base import AccessEvent, AllocEvent, FreeEvent, Workload
+
+from conftest import CAPACITY_TIER
 
 MB = 1024 * 1024
 
@@ -153,7 +154,7 @@ class TestCostAccounting:
         sim.run()
         region = sim._regions["a"]
         hpn = region.base_vpn >> 9
-        tiers = [None] * 4 + [TierKind.CAPACITY] * 508
+        tiers = [None] * 4 + [CAPACITY_TIER] * 508
         sim.space.split_huge(hpn, tiers)
         sim.policy.ksampled.on_split(
             hpn, np.array([False] * 4 + [True] * 508)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mem.tiers import TierKind
+from repro.mem.tiers import FASTEST_TIER
 from repro.pebs.events import AccessBatch
 from repro.policies.base import TieringPolicy
 from repro.policies.registry import FIG5_POLICIES, make_policy
@@ -13,7 +13,7 @@ from repro.sim.machine import MachineSpec
 from repro.workloads.base import AccessEvent, AllocEvent, Workload
 from repro.workloads.registry import make_workload
 
-from conftest import TEST_SCALE
+from conftest import CAPACITY_TIER, TEST_SCALE
 
 MB = 1024 * 1024
 
@@ -120,11 +120,11 @@ class TestAllocPlacement:
         # allocations are directed to the capacity tier -- the §6.2.6
         # short-lived-data behaviour.
         assert sim.tiers.fast.free_bytes == 0
-        assert policy.choose_alloc_tier(2 * MB) == TierKind.CAPACITY
+        assert policy.choose_alloc_tier(2 * MB) == CAPACITY_TIER
 
     def test_default_policy_prefers_fast(self):
         policy = AllFastPolicy()
         machine = MachineSpec(fast_bytes=8 * MB, capacity_bytes=64 * MB)
         sim = Simulation(OneRegionWorkload(), policy, machine)
         sim.run()
-        assert policy.choose_alloc_tier(2 * MB) == TierKind.FAST
+        assert policy.choose_alloc_tier(2 * MB) == FASTEST_TIER

@@ -1,4 +1,4 @@
-"""Differential tests: vectorized kernels vs the scalar reference path.
+"""Differential tests: vectorized kernels vs the scalar test oracles.
 
 Every hot-path kernel (ksampled sample folding, array-backed TLB, batch
 mapping ops, guided Zipf lookup) must produce *bit-identical* state to
@@ -7,23 +7,29 @@ randomized event streams -- mixed huge/base samples with frees, splits,
 collapses and demand maps interleaved -- through both implementations
 and compare every piece of derived state, then repeat the check on a
 full end-to-end memtis run via ``SimResult.to_dict()``.
+
+Every test here runs with the validating wrappers of
+``kernel_oracles`` installed unless it pins one implementation, so each
+fold and TLB call is also checked against its oracle.
 """
 
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.core.config import MemtisConfig
 from repro.core.sampler import KSampled
 from repro.mem.pages import SUBPAGES_PER_HUGE
-from repro.mem.tiers import TierKind
+from repro.mem.tiers import FASTEST_TIER
 from repro.mem.tlb import TLB, TLBConfig
 from repro.pebs.sampler import SampleBatch
 from repro.workloads.distributions import ZipfSampler
 
-from conftest import TEST_SCALE, make_context
+from conftest import CAPACITY_TIER, TEST_SCALE, make_context
+from kernel_oracles import SCALAR, VALIDATE, VECTORIZED, installed
 
 MB = 1024 * 1024
+
+pytestmark = pytest.mark.usefixtures("validating_kernels")
 
 
 # -- ksampled sample folding ---------------------------------------------------
@@ -58,8 +64,8 @@ def _snapshot(ks: KSampled) -> dict:
 
 
 def _drive_sampler(mode: str, seed: int, rounds: int) -> dict:
-    """Replay one seeded randomized ksampled history under ``mode``."""
-    with kernels.forced(mode):
+    """Replay one seeded randomized ksampled history on ``mode``."""
+    with installed(mode):
         ctx = make_context(fast_mb=8, cap_mb=64)
         config = MemtisConfig().resolved(
             ctx.tiers.fast.capacity_bytes,
@@ -97,12 +103,12 @@ def _drive_sampler(mode: str, seed: int, rounds: int) -> dict:
             if rnd % 8 == 5:
                 # Demote a random batch so capacity-tier sampling and the
                 # promotion queue see real traffic.
-                fast = np.flatnonzero(ctx.space.page_tier == int(TierKind.FAST))
+                fast = np.flatnonzero(ctx.space.page_tier == FASTEST_TIER)
                 if len(fast):
                     pick = rng.choice(
                         fast, size=min(64, len(fast)), replace=False
                     )
-                    ctx.migrator.migrate_many(np.sort(pick), TierKind.CAPACITY)
+                    ctx.migrator.migrate_many(np.sort(pick), CAPACITY_TIER)
 
             if rnd % 6 == 3:
                 hpns = ctx.space.mapped_huge_hpns()
@@ -118,10 +124,10 @@ def _drive_sampler(mode: str, seed: int, rounds: int) -> dict:
                     ks.on_split(hpn, kept)
                     freed = head + np.flatnonzero(~kept)
                     if len(freed):
-                        ctx.space.demand_map_many(freed, TierKind.FAST)
+                        ctx.space.demand_map_many(freed, FASTEST_TIER)
                         ks.on_demand_map(freed)
                     if rng.integers(2):
-                        ctx.migrator.collapse_huge(hpn, TierKind.CAPACITY)
+                        ctx.migrator.collapse_huge(hpn, CAPACITY_TIER)
                         ks.on_collapse(hpn)
 
             if rnd % 7 == 6:
@@ -146,21 +152,22 @@ def _assert_snapshots_equal(a: dict, b: dict) -> None:
 class TestSampleFoldDifferential:
     @pytest.mark.parametrize("seed", [11, 1234, 987_654])
     def test_randomized_stream_bit_identical(self, seed):
-        scalar = _drive_sampler(kernels.SCALAR, seed, rounds=24)
-        vector = _drive_sampler(kernels.VECTORIZED, seed, rounds=24)
+        scalar = _drive_sampler(SCALAR, seed, rounds=24)
+        vector = _drive_sampler(VECTORIZED, seed, rounds=24)
         # The stream must actually exercise the interesting paths.
         assert scalar["counters"][0] > 0
         assert scalar["queue"]
         _assert_snapshots_equal(scalar, vector)
 
     def test_validate_mode_runs_both_paths(self):
-        # validate mode asserts scalar/vectorized equality inside every
-        # process_samples call; surviving a full driven history is the test.
-        _drive_sampler(kernels.VALIDATE, seed=77, rounds=12)
+        # The validating fold asserts scalar/vectorized equality inside
+        # every process_samples call; surviving a full driven history is
+        # the test.
+        _drive_sampler(VALIDATE, seed=77, rounds=12)
 
     def test_empty_batch_is_noop(self):
-        for mode in (kernels.SCALAR, kernels.VECTORIZED):
-            with kernels.forced(mode):
+        for mode in (SCALAR, VECTORIZED):
+            with installed(mode):
                 ctx = make_context()
                 config = MemtisConfig().resolved(16 * MB, 112 * MB)
                 ks = KSampled(config, ctx)
@@ -175,7 +182,7 @@ class TestSampleFoldDifferential:
 def _drive_tlb(mode: str, seed: int, entries_4k: int = 64) -> tuple:
     # entries_4k=64 (16 sets) keeps lru_batch on its grouped-sequential
     # fallback; entries_4k=4096 (1024 sets) drives the lockstep rounds.
-    with kernels.forced(mode):
+    with installed(mode):
         tlb = TLB(TLBConfig(entries_4k=entries_4k, entries_2m=16, ways=4,
                             sample_stride=1))
         rng = np.random.default_rng(seed)
@@ -203,15 +210,15 @@ class TestTLBDifferential:
     @pytest.mark.parametrize("entries_4k", [64, 4096])
     @pytest.mark.parametrize("seed", [3, 42, 31_337])
     def test_randomized_stream_bit_identical(self, seed, entries_4k):
-        s_stats, s_4k, s_2m = _drive_tlb(kernels.SCALAR, seed, entries_4k)
-        v_stats, v_4k, v_2m = _drive_tlb(kernels.VECTORIZED, seed, entries_4k)
+        s_stats, s_4k, s_2m = _drive_tlb(SCALAR, seed, entries_4k)
+        v_stats, v_4k, v_2m = _drive_tlb(VECTORIZED, seed, entries_4k)
         assert s_stats["lookups"] > 0 and s_stats["misses_4k"] > 0
         assert s_stats == v_stats
         assert s_4k == v_4k
         assert s_2m == v_2m
 
     def test_validate_mode_runs_both_impls(self):
-        _drive_tlb(kernels.VALIDATE, seed=9)
+        _drive_tlb(VALIDATE, seed=9)
 
 
 # -- batch mapping ops ---------------------------------------------------------
@@ -253,8 +260,8 @@ class TestBatchMappingDifferential:
         assert 0 < fast_free < len(freed_a)
 
         for vpn in freed_a:
-            ctx_a.space.demand_map(int(vpn), TierKind.FAST)
-        ctx_b.space.demand_map_many(freed_b, TierKind.FAST)
+            ctx_a.space.demand_map(int(vpn), FASTEST_TIER)
+        ctx_b.space.demand_map_many(freed_b, FASTEST_TIER)
 
         np.testing.assert_array_equal(
             ctx_a.space.page_tier, ctx_b.space.page_tier
@@ -272,7 +279,7 @@ class TestBatchMappingDifferential:
         mapped_vpn = int(np.flatnonzero(ctx.space.page_tier >= 0)[0])
         with pytest.raises(ValueError, match="already mapped"):
             ctx.space.demand_map_many(
-                np.array([mapped_vpn]), TierKind.FAST
+                np.array([mapped_vpn]), FASTEST_TIER
             )
 
     def test_migrate_many_matches_sequential(self):
@@ -288,10 +295,10 @@ class TestBatchMappingDifferential:
         ctx_a, picks_a = build()
         ctx_b, picks_b = build()
         total_a = sum(
-            ctx_a.migrator.migrate_page(int(v), TierKind.CAPACITY)
+            ctx_a.migrator.migrate_page(int(v), CAPACITY_TIER)
             for v in picks_a
         )
-        total_b = ctx_b.migrator.migrate_many(picks_b, TierKind.CAPACITY)
+        total_b = ctx_b.migrator.migrate_many(picks_b, CAPACITY_TIER)
 
         np.testing.assert_array_equal(
             ctx_a.space.page_tier, ctx_b.space.page_tier
@@ -359,10 +366,10 @@ class TestZipfGuidedLookup:
 def _run_e2e(mode: str) -> dict:
     from repro.sim.runner import RunSpec
 
-    # Build *inside* the forced block: the TLB picks its implementation
-    # at construction time.  spec.build().run() bypasses the result
-    # cache, which does not key on kernel mode.
-    with kernels.forced(mode):
+    # Build *inside* the installed block: the TLB picks its
+    # implementation at construction time.  spec.build().run() bypasses
+    # the result cache, which does not key on the implementation.
+    with installed(mode):
         spec = RunSpec("silo", "memtis", ratio="1:8", scale=TEST_SCALE,
                        seed=11, max_accesses=60_000)
         result = spec.build().run(max_accesses=spec.max_accesses)
@@ -376,6 +383,6 @@ def _run_e2e(mode: str) -> dict:
 class TestEndToEndDifferential:
     @pytest.mark.slow
     def test_full_memtis_run_bit_identical(self):
-        scalar = _run_e2e(kernels.SCALAR)
-        vector = _run_e2e(kernels.VECTORIZED)
+        scalar = _run_e2e(SCALAR)
+        vector = _run_e2e(VECTORIZED)
         assert scalar == vector

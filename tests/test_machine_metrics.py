@@ -65,10 +65,10 @@ class TestMachineSpec:
     def test_variants(self):
         m = MachineSpec.from_ratio(300 * MB, ratio="1:8")
         total = m.fast_bytes + m.capacity_bytes
-        all_cap = m.all_capacity()
+        all_cap = m.collapse_to_slowest()
         assert all_cap.capacity_bytes == total
         assert all_cap.fast_bytes == HUGE_PAGE_SIZE
-        all_fast = m.all_fast()
+        all_fast = m.collapse_to_fastest()
         assert all_fast.fast_bytes == total
 
     def test_build_tiers_kinds(self):

@@ -10,7 +10,7 @@ The contract of :mod:`repro.sim.macro` (see its module docstring):
 * the engine's staged fused rebase is bit-identical to the per-segment
   reference fusion (``Simulation._fuse_reference``, a test oracle) --
   per batch, and per ``SimResult.to_dict()`` minus wall-clock fields in
-  both kernel modes, under ``REPRO_CHECK=strict``, and through the
+  both kernel implementations, under ``REPRO_CHECK=strict``, and through the
   snapshot kill/resume matrix.
 """
 
@@ -19,7 +19,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro import kernels, snapshot
+from repro import snapshot
 from repro.check import FaultConfig, FaultInjector, SimulationKilled
 from repro.pebs.events import AccessBatch
 from repro.policies import make_policy
@@ -29,6 +29,7 @@ from repro.sim.runner import RunSpec
 from repro.workloads.base import AccessEvent, AllocEvent, FreeEvent
 
 from conftest import TEST_SCALE
+from kernel_oracles import BOTH, installed
 from test_engine import ScriptedWorkload, machine
 
 EPOCH_NS = 1e6
@@ -190,15 +191,15 @@ class TestSpecIdentity:
 
 
 class TestStagedVsReference:
-    @pytest.mark.parametrize("mode", [kernels.VECTORIZED, kernels.SCALAR])
+    @pytest.mark.parametrize("mode", BOTH)
     @pytest.mark.parametrize("workload", ["silo", "603.bwaves"])
     def test_staged_matches_reference(self, mode, workload, monkeypatch):
         """Same macro cadence, staged vs reference fusion: identical
-        ``to_dict()`` in both kernel modes under strict checking.
+        ``to_dict()`` in both kernel implementations under strict checking.
         ``603.bwaves`` covers alloc/free flush barriers mid-run."""
         monkeypatch.setenv("REPRO_CHECK", "strict")
         spec = _spec(workload=workload, check="strict")
-        with kernels.forced(mode):
+        with installed(mode):
             staged = _run(spec)
             with monkeypatch.context() as patch:
                 _use_reference_fusion(patch)

@@ -7,7 +7,7 @@ the guarantee three ways:
 * **Pinned digests**: a small grid of historical ``RunSpec``s must keep
   their exact ``cache_key()`` and reproduce byte-identical
   ``SimResult.to_dict()`` digests recorded from the pre-redesign seed,
-  in both kernel modes, with the invariant sanitizer at ``strict``.
+  in both kernel implementations, with the invariant sanitizer at ``strict``.
 * **Constructor equivalence**: a machine built via the legacy
   ``MachineSpec(fast_bytes=..., capacity_bytes=...)`` form and the same
   machine built as ``MachineSpec.from_tiers([dram, nvm])`` produce
@@ -23,7 +23,6 @@ import os
 
 import pytest
 
-from repro import kernels
 from repro.check.invariants import CheckLevel
 from repro.mem.tiers import (
     FASTEST_TIER,
@@ -43,6 +42,7 @@ from repro.sim.runner import RunSpec
 from repro.workloads.registry import make_workload
 
 from conftest import TEST_SCALE
+from kernel_oracles import BOTH, installed
 
 MB = 1024 * 1024
 
@@ -70,12 +70,12 @@ class TestPinnedDigests:
              f'{e["spec"]["ratio"]}-{e["spec"]["capacity_kind"]}'
              for e in PINNED["entries"]],
     )
-    @pytest.mark.parametrize("mode", [kernels.VECTORIZED, kernels.SCALAR])
+    @pytest.mark.parametrize("mode", BOTH)
     def test_bit_identical_to_seed(self, entry, mode):
         spec = RunSpec(**entry["spec"], check="strict")
         # check/snapshot/resume are excluded from the key by design.
         assert spec.cache_key() == entry["cache_key"]
-        with kernels.forced(mode):
+        with installed(mode):
             result = spec.build().run(max_accesses=spec.max_accesses)
         assert canonical_digest(result) == entry["digests"][mode]
 
@@ -90,7 +90,7 @@ class TestConstructorEquivalence:
     @pytest.mark.parametrize("capacity_kind,cap_ctor", [
         ("nvm", nvm_spec), ("cxl", cxl_spec),
     ])
-    @pytest.mark.parametrize("mode", [kernels.VECTORIZED, kernels.SCALAR])
+    @pytest.mark.parametrize("mode", BOTH)
     def test_results_bit_identical(self, capacity_kind, cap_ctor, mode):
         legacy = MachineSpec(fast_bytes=8 * MB, capacity_bytes=64 * MB,
                              capacity_kind=capacity_kind)
@@ -102,7 +102,7 @@ class TestConstructorEquivalence:
         workload = make_workload("silo", TEST_SCALE)
         digests = []
         for machine in (legacy, listed):
-            with kernels.forced(mode):
+            with installed(mode):
                 sim = Simulation(workload, make_policy("memtis"), machine,
                                  check=CheckLevel.STRICT)
                 digests.append(canonical_digest(sim.run(max_accesses=80_000)))

@@ -9,15 +9,19 @@ Covers the three contracts the layer promises:
   instants, epoch/phase duration slices);
 * **zero interference** -- a traced memtis run produces a
   ``SimResult.to_dict()`` bit-identical to the untraced run (minus the
-  ``observability`` section) in both kernel modes, and the sweep's
-  per-cell trace files annotate cache hits instead of re-running them.
+  ``observability`` section) on both kernel implementations, and the
+  sweep's per-cell trace files annotate cache hits instead of re-running
+  them.
+
+Tests that do not pin an implementation run with the validating kernel
+wrappers installed, so every fold and TLB call is checked against its
+scalar oracle.
 """
 
 import json
 
 import pytest
 
-from repro import kernels
 from repro.obs import (
     DEBUG,
     INFO,
@@ -41,7 +45,9 @@ from repro.sim.runner import RunSpec
 from repro.sim.sweep import CellOutcome, TraceConfig, run_sweep, timing_summary
 
 from conftest import TEST_SCALE
+from kernel_oracles import BOTH, installed
 
+pytestmark = pytest.mark.usefixtures("validating_kernels")
 
 # -- tracer --------------------------------------------------------------------
 
@@ -279,9 +285,9 @@ def _comparable(result) -> dict:
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("mode", [kernels.VECTORIZED, kernels.SCALAR])
+@pytest.mark.parametrize("mode", BOTH)
 def test_traced_run_bit_identical_to_untraced(mode):
-    with kernels.forced(mode):
+    with installed(mode):
         plain = _spec().build().run(max_accesses=60_000)
         obs = Observability.traced(level="debug")
         traced = _spec().build(obs=obs).run(max_accesses=60_000)

@@ -1,19 +1,18 @@
 """Perf smoke: the vectorized fold kernel must actually be fast, the
 disabled tracer must be nearly free, and the macro-batch coalescer must
-actually amortise the per-event round trip.
+actually amortise the per-batch round trip.
 
 Coarse guards, not benchmarks (those live in ``benchmarks/``):
 
 * folding a fixed 100k-sample stream through the vectorized kernel must
-  beat the scalar reference by at least 3x (observed ~two orders of
-  magnitude, so 3x only trips on a real regression, e.g. the dispatch
-  silently falling back to the scalar path);
+  beat the scalar test oracle by at least 3x (observed ~two orders of
+  magnitude, so 3x only trips on a real regression in the kernel);
 * the disabled-tracing guards threaded through the engine and daemons
   must cost under 5% of a 100k-access run even at a 10x-inflated guard
   count;
-* a ~2M-access fine-grained memtis replay with the coalescer on must
-  beat the per-event loop by at least 1.5x (observed ~2.5-4x; the full
-  trajectory lives in ``benchmarks/record_bench.py``).
+* a ~2M-access fine-grained memtis replay at ``DEFAULT_MACRO_BATCH``
+  must beat the same replay at ``macro_batch=0`` (the coalescer's
+  pass-through, one engine batch per trace event) by at least 1.5x.
 """
 
 import os
@@ -21,9 +20,7 @@ import tempfile
 import time
 
 import numpy as np
-import pytest
 
-from repro import kernels
 from repro.core.config import MemtisConfig
 from repro.core.sampler import KSampled
 from repro.obs.tracer import DEBUG, NULL_TRACER
@@ -36,22 +33,18 @@ from repro.workloads.registry import make_workload
 from repro.workloads.trace import TraceWorkload, record_trace
 
 from conftest import TEST_SCALE, make_context
+from kernel_oracles import SCALAR, VECTORIZED, installed
 
 MB = 1024 * 1024
 
-pytestmark = pytest.mark.skipif(
-    kernels.active_mode() != kernels.VECTORIZED,
-    reason="REPRO_SCALAR_KERNELS overrides the vectorized default",
-)
-
 
 def _fold_seconds(mode: str) -> float:
-    """Time one fixed 100k-sample fold on a fresh machine under ``mode``.
+    """Time one fixed 100k-sample fold on a fresh machine on ``mode``.
 
     The stream is regenerated from a fixed seed against the fresh
     region's bounds, so every call folds the identical sample batch.
     """
-    with kernels.forced(mode):
+    with installed(mode):
         ctx = make_context(fast_mb=16, cap_mb=96)
         config = MemtisConfig().resolved(16 * MB, 112 * MB)
         ks = KSampled(config, ctx)
@@ -69,8 +62,8 @@ def _fold_seconds(mode: str) -> float:
 
 
 def test_vectorized_fold_at_least_3x_faster_than_scalar():
-    scalar = _fold_seconds(kernels.SCALAR)
-    vectorized = _fold_seconds(kernels.VECTORIZED)
+    scalar = _fold_seconds(SCALAR)
+    vectorized = _fold_seconds(VECTORIZED)
     assert vectorized > 0
     ratio = scalar / vectorized
     assert ratio >= 3.0, (
@@ -159,8 +152,8 @@ def test_disabled_telemetry_overhead_under_5_percent():
     )
 
 
-#: ~2.3M silo accesses -- big enough that the per-event fixed cost
-#: dominates the disabled path, small enough for a smoke test.
+#: ~2.3M silo accesses -- big enough that the per-batch fixed cost
+#: dominates the ``macro_batch=0`` run, small enough for a smoke test.
 _MACRO_SMOKE_SCALE = ScaleSpec(
     bytes_per_paper_gb=1024 * 1024,
     accesses_per_paper_gb=40_000,
@@ -170,15 +163,16 @@ _MACRO_SMOKE_SCALE = ScaleSpec(
 
 
 def test_macro_coalescer_at_least_1p5x_faster_than_per_event():
-    """The streamed macro engine must beat the per-event loop by >= 1.5x
-    on a ~2M-access fine-grained memtis replay.
+    """Coalescing at ``DEFAULT_MACRO_BATCH`` must beat the
+    ``macro_batch=0`` pass-through cadence by >= 1.5x on a ~2M-access
+    fine-grained memtis replay.
 
     The trace is re-chunked to 8k-access events -- the granularity a
-    real PEBS-style trace arrives at -- so the per-event loop pays its
-    fixed Python round trip ~280 times while the coalescer fuses down
-    to ~9 macro-batches.  Observed ~2.5-4x on one core; 1.5x only trips
-    if the coalescer stops fusing (or the hot path regrows per-event
-    work).
+    real PEBS-style trace arrives at.  At ``macro_batch=0`` the
+    coalescer passes each event through alone, so the engine pays its
+    fixed per-batch Python round trip ~280 times; at the default target
+    it fuses them down to ~9 macro-batches.  1.5x only trips if the
+    coalescer stops fusing (or the hot path regrows per-batch work).
     """
     from repro.sim.macro import DEFAULT_MACRO_BATCH
 

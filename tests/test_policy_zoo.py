@@ -5,7 +5,7 @@ HybridTier, ARMS):
 
 * the figure policy lists stay consistent with the registry, so zoo
   growth cannot silently break figure experiments;
-* every zoo policy runs strict-sanitizer-clean in both kernel modes;
+* every zoo policy runs strict-sanitizer-clean in both kernel implementations;
 * every zoo policy passes the snapshot bit-identity matrix
   (``run(N) == run(k) -> save -> load -> run(N-k)``);
 * the characteristic mechanisms actually engage (admission rejections,
@@ -15,7 +15,6 @@ HybridTier, ARMS):
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.policies.arms import ARMSPolicy
 from repro.policies.hybridtier import HybridTierPolicy
 from repro.policies.nomad import NomadPolicy
@@ -30,6 +29,7 @@ from repro.workloads.registry import (
 )
 
 from conftest import TEST_SCALE
+from kernel_oracles import BOTH, installed
 
 ZOO = ["tierbpf", "nomad", "hybridtier", "arms"]
 
@@ -91,16 +91,16 @@ class TestRegistryWiring:
         assert workload_names() == PAPER_ORDER + ["phaseflip"]
 
 
-# -- strict sanitizer, both kernel modes ---------------------------------------
+# -- strict sanitizer, both kernel implementations ---------------------------
 
 
-@pytest.mark.parametrize("mode", [kernels.VECTORIZED, kernels.SCALAR])
+@pytest.mark.parametrize("mode", BOTH)
 @pytest.mark.parametrize("policy", ZOO)
 def test_zoo_strict_clean_in_both_kernel_modes(policy, mode, monkeypatch):
     """Strict checking raises InvariantViolation on any drift; a clean
     pass through a full run is the assertion."""
     monkeypatch.setenv("REPRO_CHECK", "strict")
-    with kernels.forced(mode):
+    with installed(mode):
         spec = _spec(policy, check="strict")
         result = _build(spec).run(max_accesses=spec.max_accesses)
     assert result.runtime_ns > 0
@@ -110,11 +110,11 @@ def test_zoo_strict_clean_in_both_kernel_modes(policy, mode, monkeypatch):
 # -- snapshot bit-identity matrix ----------------------------------------------
 
 
-@pytest.mark.parametrize("mode", [kernels.VECTORIZED, kernels.SCALAR])
+@pytest.mark.parametrize("mode", BOTH)
 @pytest.mark.parametrize("policy", ZOO)
 def test_zoo_snapshot_bit_identity(policy, mode):
     """run(N) == run(k) -> save -> load -> run(N-k) for first/mid/last k."""
-    with kernels.forced(mode):
+    with installed(mode):
         spec = _spec(policy)
         full = _canon(_build(spec).run(max_accesses=spec.max_accesses))
         snaps = {}

@@ -10,9 +10,9 @@ from repro.core.thresholds import adapt_thresholds
 from repro.mem.pages import SUBPAGES_PER_HUGE
 from repro.mem.address_space import AddressSpace
 from repro.mem.tiers import (
+    FASTEST_TIER,
     TIER_UNMAPPED,
     TieredMemory,
-    TierKind,
     dram_spec,
     nvm_spec,
 )
@@ -165,7 +165,7 @@ class TestAddressSpaceProperties:
         space = AddressSpace(tiers)
         live = [
             space.alloc_region(nbytes, thp=thp,
-                               tier_chooser=lambda n: TierKind.FAST)
+                               tier_chooser=lambda n: FASTEST_TIER)
             for nbytes, thp in regions
         ]
         assert tiers.total_used() == sum(r.nbytes for r in live)

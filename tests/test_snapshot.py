@@ -2,22 +2,27 @@
 
 The contract of :mod:`repro.snapshot`: ``run(N)`` and
 ``run(k) -> save -> load -> run(N-k)`` produce bit-identical
-``SimResult.to_dict()`` -- in both kernel modes, under strict invariant
+``SimResult.to_dict()`` -- on the vectorized kernels and on the scalar
+test oracles (``kernel_oracles``), under strict invariant
 checking, after a fault-injected kill, and through the sweep executor's
 checkpoint-aware retry path.  Only ``wall_seconds`` and ``phase_ns``
 (host wall-clock measurements) are exempt.
 """
 
 import dataclasses
+import hashlib
+import os
+import pickle
 
 import pytest
 
-from repro import kernels, snapshot
+from repro import snapshot
 from repro.check import FaultConfig, FaultInjector, SimulationKilled
 from repro.sim.runner import RunSpec
 from repro.sim.sweep import run_sweep
 
 from conftest import TEST_SCALE
+from kernel_oracles import BOTH, SCALAR, VECTORIZED, installed
 
 #: Virtual-time epoch length used to get several epochs out of a small
 #: access budget (the default 20 ms interval yields one or two).
@@ -61,10 +66,10 @@ def _capture_all(spec):
 
 
 class TestResumeBitIdentity:
-    @pytest.mark.parametrize("mode", [kernels.VECTORIZED, kernels.SCALAR])
+    @pytest.mark.parametrize("mode", BOTH)
     def test_resume_matches_uninterrupted_run(self, mode):
         """save at k, load, run remainder == run(N) -- first/mid/last k."""
-        with kernels.forced(mode):
+        with installed(mode):
             spec = _spec()
             full = _canon(_build(spec).run(max_accesses=spec.max_accesses))
             captured, snaps = _capture_all(spec)
@@ -79,14 +84,14 @@ class TestResumeBitIdentity:
                 assert resumed == full, f"resume from epoch {k} diverged"
 
     def test_checkpoint_is_kernel_mode_portable(self):
-        """A checkpoint taken under vectorized kernels resumes under
-        scalar kernels to the scalar run's exact result (and the two
-        modes agree end-to-end, so one assertion covers both)."""
+        """A checkpoint taken on the vectorized kernels resumes on the
+        scalar oracles to the scalar run's exact result (and the two
+        agree end-to-end, so one assertion covers both)."""
         spec = _spec()
-        with kernels.forced(kernels.VECTORIZED):
+        with installed(VECTORIZED):
             full, snaps = _capture_all(spec)
             k = sorted(snaps)[len(snaps) // 2]
-        with kernels.forced(kernels.SCALAR):
+        with installed(SCALAR):
             sim = _build(spec)
             sim.load_state(snaps[k])
             resumed = _canon(sim.run(max_accesses=spec.max_accesses))
@@ -195,6 +200,29 @@ class TestSnapshotStore:
         assert store.load(spec) is not None
         monkeypatch.setattr("repro.sim.runner.SPEC_SCHEMA_VERSION", -1)
         assert store.load(spec) is None
+
+    def test_format_1_entry_is_refused(self, tmp_path):
+        """A format-1 checkpoint (its engine state may predate the
+        ``gen_ns`` phase counter) loads as a miss and stays on disk;
+        ``--resume`` over it reproduces the fresh-run result."""
+        store = snapshot.SnapshotStore(tmp_path / "store")
+        spec = _spec(snapshot_every=1)
+        fresh = _canon(spec.execute(snapshots=store))
+        path = store._entry_path(spec.cache_key(), store.latest_epoch(spec))
+        with open(path, "rb") as fh:
+            entry = pickle.load(fh)
+        state = pickle.loads(entry["state"])
+        del state["phase_ns"]["gen_ns"]
+        payload = pickle.dumps(state)
+        manifest = dict(entry["manifest"], format=1,
+                        state_sha256=hashlib.sha256(payload).hexdigest())
+        with open(path, "wb") as fh:
+            pickle.dump({"manifest": manifest, "state": payload}, fh)
+
+        assert store.load(spec) is None
+        assert os.path.exists(path)
+        resumed = _canon(spec.replace(resume=True).execute(snapshots=store))
+        assert resumed == fresh
 
     def test_corrupt_entry_is_a_miss_and_removed(self, tmp_path):
         store = snapshot.SnapshotStore(tmp_path / "store")

@@ -7,7 +7,7 @@ Three contracts:
   serialisation round-trip;
 * **zero interference** -- a telemetry-enabled run's ``to_dict()``,
   minus the ``observability.timeseries`` block, is bit-identical to the
-  disabled run in both kernel modes under ``REPRO_CHECK=strict``, and
+  disabled run in both kernel implementations under ``REPRO_CHECK=strict``, and
   ``timeseries_every`` participates in the cache identity (a recorded
   result must never be served for a disabled spec);
 * **contiguous resume** -- the series from ``run(N)`` equals the series
@@ -19,11 +19,11 @@ import json
 
 import pytest
 
-from repro import kernels
 from repro.obs import CounterRegistry, MetricsTimeSeries, Observability
 from repro.sim.runner import RunSpec
 
 from conftest import TEST_SCALE
+from kernel_oracles import BOTH, installed
 
 #: Short virtual epochs so a small access budget yields many of them.
 EPOCH_NS = 1e6
@@ -173,10 +173,10 @@ def _comparable(result) -> dict:
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("mode", [kernels.VECTORIZED, kernels.SCALAR])
+@pytest.mark.parametrize("mode", BOTH)
 def test_telemetry_run_bit_identical_to_disabled(mode, monkeypatch):
     monkeypatch.setenv("REPRO_CHECK", "strict")
-    with kernels.forced(mode):
+    with installed(mode):
         spec = _spec()
         off = _build(spec).run(max_accesses=spec.max_accesses)
         on = _build(spec.replace(timeseries_every=1)).run(

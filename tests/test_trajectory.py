@@ -8,10 +8,6 @@ for the regression / config-mismatch paths.
 import copy
 import json
 import os
-import subprocess
-import sys
-
-import pytest
 
 from repro.analysis.trajectory import (
     BASELINE_SCENARIO,
@@ -169,31 +165,3 @@ class TestRadarCli:
             json.dumps(_regressed_doc(0.9, "synthetic_2m_macro")))
         assert radar(str(current), tolerance=0.05) == 1
         assert radar(str(current), tolerance=0.20) == 0
-
-
-@pytest.mark.slow
-class TestRecordBenchDelegation:
-    """``record_bench.py --compare`` routes through the shared radar."""
-
-    SCRIPT = os.path.join(REPO, "benchmarks", "record_bench.py")
-
-    def _compare(self, tmp_path, new_doc):
-        committed = os.path.join(REPO, "benchmarks", "BENCH_7.json")
-        new_path = tmp_path / "new.json"
-        new_path.write_text(json.dumps(new_doc))
-        return subprocess.run(
-            [sys.executable, self.SCRIPT, "--compare", committed,
-             str(new_path)],
-            capture_output=True, text=True,
-        )
-
-    def test_exit_zero_on_match(self, tmp_path):
-        proc = self._compare(tmp_path, _latest_doc())
-        assert proc.returncode == 0, proc.stderr
-        assert "no regression beyond tolerance" in proc.stdout
-
-    def test_exit_one_on_regression(self, tmp_path):
-        proc = self._compare(tmp_path, _regressed_doc(0.5))
-        assert proc.returncode == 1
-        assert "REGRESSED" in proc.stdout
-        assert "FAIL:" in proc.stderr

@@ -51,6 +51,7 @@ landed in the cache).  ``fail`` is additionally guarded by
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import sqlite3
@@ -143,36 +144,16 @@ class Job:
         return RunSpec.from_dict(json.loads(self.spec_json))
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "key": self.key,
-            "label": self.label,
-            "state": self.state,
-            "lease_owner": self.lease_owner,
-            "lease_expires_at": self.lease_expires_at,
-            "claims": self.claims,
-            "attempts": self.attempts,
-            "expirations": self.expirations,
-            "max_attempts": self.max_attempts,
-            "resumed": bool(self.resumed),
-            "error": self.error,
-            "enqueued_at": self.enqueued_at,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "wall_s": self.wall_s,
-        }
+        data = dataclasses.asdict(self)
+        del data["spec_json"]
+        return data
 
 
 def _job_from_row(row: sqlite3.Row) -> Job:
-    return Job(
-        key=row["key"], spec_json=row["spec"], label=row["label"],
-        state=row["state"], lease_owner=row["lease_owner"],
-        lease_expires_at=row["lease_expires_at"], claims=row["claims"],
-        attempts=row["attempts"], expirations=row["expirations"],
-        max_attempts=row["max_attempts"], resumed=bool(row["resumed"]),
-        error=row["error"], enqueued_at=row["enqueued_at"],
-        started_at=row["started_at"], finished_at=row["finished_at"],
-        wall_s=row["wall_s"],
-    )
+    data = dict(row)
+    data["spec_json"] = data.pop("spec")
+    data["resumed"] = bool(data["resumed"])
+    return Job(**data)
 
 
 @dataclass
@@ -288,7 +269,8 @@ class JobQueue:
 
     def claim(self, worker_id: str, lease_s: float,
               now: Optional[float] = None) -> Optional[Job]:
-        """Pull one job: expire stale leases, then take the oldest queued.
+        """Pull one job: expire stale leases, then take the oldest queued
+        (by enqueue time, then by position in its ``enqueue`` batch).
 
         Returns ``None`` when nothing is claimable.  The claim is atomic
         (``BEGIN IMMEDIATE``), so two workers can never hold the same
@@ -309,7 +291,7 @@ class JobQueue:
             )
             row = self._db.execute(
                 "SELECT * FROM jobs WHERE state = ?"
-                " ORDER BY enqueued_at, key LIMIT 1",
+                " ORDER BY enqueued_at, rowid LIMIT 1",
                 (QUEUED,),
             ).fetchone()
             if row is None:
@@ -430,15 +412,12 @@ class JobQueue:
         return _job_from_row(row) if row is not None else None
 
     def jobs(self, state: Optional[str] = None) -> List[Job]:
-        if state is None:
-            rows = self._db.execute(
-                "SELECT * FROM jobs ORDER BY enqueued_at, key"
-            ).fetchall()
-        else:
-            rows = self._db.execute(
-                "SELECT * FROM jobs WHERE state = ?"
-                " ORDER BY enqueued_at, key", (state,)
-            ).fetchall()
+        """Jobs (all, or those in ``state``) in submission order."""
+        where, args = ("", ()) if state is None else (" WHERE state = ?",
+                                                      (state,))
+        rows = self._db.execute(
+            f"SELECT * FROM jobs{where} ORDER BY enqueued_at, rowid", args
+        ).fetchall()
         return [_job_from_row(row) for row in rows]
 
     def counts(self) -> Dict[str, int]:

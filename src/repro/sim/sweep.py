@@ -1,25 +1,28 @@
-"""Parallel sweep executor: fan :class:`RunSpec` cells out over workers.
+"""Sweep executor: run :class:`RunSpec` cells through a private job queue.
 
 Reproducing a paper figure means sweeping a grid of configurations --
 Fig. 5 alone is 8 workloads x 7 policies x 3 ratios plus 24 shared
-baselines.  :func:`run_sweep` executes any collection of specs:
+baselines.  :func:`run_sweep` enqueues any collection of specs into a
+:mod:`repro.service` job queue in a temporary directory and drains it
+with queue workers, so local sweeps and the sweep service share one
+scheduler, one commit point and one attempt ledger.  Sweeps are:
 
 * **deduplicated** -- identical specs (notably the all-capacity
   baselines shared by every policy in a (workload, ratio) cell) are
   executed exactly once, regardless of how many times they appear;
 * **cached** -- specs whose results are already in the persistent
-  :mod:`repro.sim.cache` are not executed at all;
-* **parallel** -- remaining cells fan out over a
-  ``concurrent.futures.ProcessPoolExecutor`` with ``jobs`` workers;
-  ``jobs=1`` degrades to in-process serial execution with bit-identical
-  results (every simulation derives its randomness from the spec seed);
-* **fault-isolated** -- a cell that raises, or a worker process that
+  :mod:`repro.sim.cache` never reach a worker; workers commit results
+  to the cache, and the parent reads them back from it;
+* **parallel** -- ``jobs=1`` runs one worker in-process, otherwise up
+  to ``jobs`` forked workers claim cells in submission order, with
+  bit-identical results (every simulation derives its randomness from
+  the spec seed);
+* **fault-isolated** -- a cell that raises, or whose worker process
   dies outright, is retried ``retries`` times and then reported as a
   failed :class:`CellOutcome` while the rest of the sweep completes;
 * **observable** -- a ``progress`` callback receives a
-  :class:`SweepEvent` per completed cell (accepting callbacks that take
-  the event or just a message string); pass a :class:`TraceConfig` to
-  additionally capture a structured trace per executed cell (cached
+  :class:`SweepEvent` per cell transition; pass a :class:`TraceConfig`
+  to additionally capture a structured trace per executed cell (cached
   cells get a stub file annotated ``from_cache``).
 
 :func:`timing_summary` aggregates wall-clock statistics over a finished
@@ -34,12 +37,11 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.obs.heartbeat import (
     HeartbeatConfig,
@@ -187,24 +189,11 @@ class SweepEvent:
 ProgressFn = Callable[[SweepEvent], None]
 
 
-def _emit(progress: Optional[ProgressFn], event: SweepEvent) -> None:
-    if progress is not None:
-        progress(event)
-
-
 # -- execution ----------------------------------------------------------------
 
-
-def resume_variant(spec: RunSpec) -> RunSpec:
-    """The spec to execute when continuing a failed/killed attempt.
-
-    A checkpointing spec (``snapshot_every > 0``) continues with
-    ``resume=True`` -- it restores the prior attempt's last epoch
-    checkpoint instead of recomputing finished epochs.  Anything else
-    simply re-runs from scratch.  The variant shares the original's
-    cache key, so outcomes/cache entries stay keyed consistently.
-    """
-    return spec.replace(resume=True) if spec.snapshot_every > 0 else spec
+#: Local workers (and the parent's progress reads) poll every 50 ms:
+#: the drain tail of a sweep waits on it.
+_LOCAL_POLL_S = 0.05
 
 
 def execute_cell(
@@ -214,9 +203,9 @@ def execute_cell(
 ) -> Tuple[bool, Optional[SimResult], Optional[str]]:
     """Execute one spec; never raises for ordinary cell errors.
 
-    Runs without touching the cache: the driver pre-filters hits and
-    persists successes, so workers stay pure compute.  With ``trace``,
-    the run is traced and the events exported to the trace directory
+    Runs without touching the cache: the queue pre-filters hits and
+    the queue worker commits successes.  With ``trace``, the run is
+    traced and the events exported to the trace directory
     before returning (tracing never changes simulation results).  With
     ``heartbeat``, the cell streams its status into the heartbeat
     directory per epoch and stamps a terminal ``done``/``failed`` state.
@@ -227,8 +216,8 @@ def execute_cell(
     ``KeyboardInterrupt``/``SystemExit`` propagate so Ctrl-C cancels a
     sweep instead of burning retries on every in-flight cell.
 
-    This is the single execution path shared by :func:`run_sweep`
-    workers and the ``repro.service`` queue workers.
+    Queue workers call it through this module at call time, so tests
+    can patch ``repro.sim.sweep.execute_cell``.
     """
     hb = None
     if heartbeat is not None:
@@ -243,22 +232,13 @@ def execute_cell(
                 level=trace.level, events=trace.categories,
                 capacity=trace.capacity,
             )
-        hook = epoch_hook
-        if hb is not None:
-            if hook is None:
-                hook = hb.on_epoch
-            else:
-                extra = hook
+        hooks = [h for h in (hb.on_epoch if hb else None, epoch_hook) if h]
 
-                def hook(snapshot, _hb_hook=hb.on_epoch, _extra=extra):
-                    _hb_hook(snapshot)
-                    _extra(snapshot)
-        # Pass epoch_hook only when needed: out-of-tree execute()
-        # wrappers predating the kwarg keep working on plain sweeps.
-        result = (
-            spec.execute(obs=obs, epoch_hook=hook)
-            if hook is not None else spec.execute(obs=obs)
-        )
+        def hook(sim):
+            for each in hooks:
+                each(sim)
+
+        result = spec.execute(obs=obs, epoch_hook=hook)
         if trace is not None:
             _export_cell_trace(trace, spec, obs, result)
         if hb is not None:
@@ -269,44 +249,6 @@ def execute_cell(
         if hb is not None:
             hb.finish("failed", error=error)
         return False, None, error
-
-
-def _execute_batch(
-    specs: Sequence[RunSpec], jobs: int,
-    trace: Optional[TraceConfig] = None,
-    heartbeat: Optional[HeartbeatConfig] = None,
-) -> List[Tuple[RunSpec, Tuple[bool, Optional[SimResult], Optional[str]]]]:
-    """Run ``specs`` once each; one (spec, (ok, result, error)) per spec."""
-    if jobs <= 1 or len(specs) <= 1:
-        return [(spec, execute_cell(spec, trace, heartbeat)) for spec in specs]
-    out = []
-    returned = set()
-    try:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
-            futures = {
-                pool.submit(execute_cell, spec, trace, heartbeat): spec
-                for spec in specs
-            }
-            for future in as_completed(futures):
-                spec = futures[future]
-                try:
-                    out.append((spec, future.result()))
-                except BrokenProcessPool:
-                    raise
-                except Exception as exc:  # e.g. result unpickling failure
-                    out.append((spec, (False, None, repr(exc))))
-                returned.add(spec)
-    except BrokenProcessPool:
-        # A worker died hard (segfault/OOM-kill): every cell still in
-        # flight counts this as a failed attempt; the caller may retry.
-        for spec in specs:
-            if spec not in returned:
-                out.append((spec, (
-                    False, None,
-                    "worker process died (BrokenProcessPool); "
-                    "cell will be retried if attempts remain",
-                )))
-    return out
 
 
 def run_sweep(
@@ -326,8 +268,8 @@ def run_sweep(
     each executed cell writes a trace file into ``trace.directory``;
     cache hits get a stub annotated ``from_cache`` instead.  With
     ``heartbeat``, the sweep becomes observable from outside: the
-    parent writes a manifest plus ``cached``/``retrying`` stamps, and
-    every executing cell streams per-epoch status files (``repro top``
+    parent writes a manifest plus ``cached`` stamps, and every
+    executing cell streams per-epoch status files (``repro top``
     renders them live).
 
     Retries are checkpoint-aware: a failed (or killed) cell whose spec
@@ -335,98 +277,99 @@ def run_sweep(
     retry continues from the failed attempt's last epoch checkpoint
     instead of recomputing finished epochs.
     """
+    from repro.service.queue import CACHED, DONE, FAILED, JobQueue, queue_path
+    from repro.service.worker import Worker, run_workers
+
     ordered = list(dict.fromkeys(specs))
     jobs = default_jobs() if jobs is None else max(1, int(jobs))
     cache = result_cache.resolve_cache(cache)
-    total = len(ordered)
-    completed = 0
-    outcomes: Dict[RunSpec, CellOutcome] = {}
     sweep_started = time.time()
     if heartbeat is not None:
         write_manifest(heartbeat, ordered, started_at=sweep_started)
-
-    pending: List[RunSpec] = []
-    for spec in ordered:
-        # Checked specs must execute: a cache hit would skip the
-        # sanitizer entirely (checks never change results, so executed
-        # cells still publish into the shared cache entry).
-        hit = (
-            cache.get(spec)
-            if cache is not None and not spec.check_requested
-            else None
-        )
-        if hit is not None:
-            completed += 1
-            # Mirror RunSpec.run(): a cached cell did no simulation
-            # work, so it must not replay the original wall time.
-            hit.wall_seconds = 0.0
-            hit.from_cache = True
-            outcomes[spec] = CellOutcome(spec, result=hit, from_cache=True)
-            if trace is not None:
-                _write_cached_stub(trace, spec)
-            if heartbeat is not None:
-                write_cell_status(heartbeat, spec, "cached", progress=1.0)
-            _emit(progress, SweepEvent("cached", spec, completed, total))
-        else:
-            pending.append(spec)
-
-    attempts: Dict[RunSpec, int] = {spec: 0 for spec in pending}
-    # Each work item is (original spec, spec actually executed): a retry
-    # of a checkpointing cell runs the ``resume=True`` variant, which
-    # restores the failed attempt's last checkpoint instead of
-    # recomputing finished epochs.  Outcomes/attempts/cache stay keyed
-    # by the original spec (the resume variant shares its cache key).
-    work: List[Tuple[RunSpec, RunSpec]] = [(spec, spec) for spec in pending]
-    while work:
-        batch, work = work, []
-        run_map = {run_spec: spec for spec, run_spec in batch}
-        for run_spec, (ok, result, error) in _execute_batch(
-            [run_spec for _, run_spec in batch], jobs, trace, heartbeat
-        ):
-            spec = run_map[run_spec]
-            attempts[spec] += 1
-            if ok:
-                completed += 1
+    with tempfile.TemporaryDirectory(prefix="repro-sweep-") as tmp:
+        if cache is None:
+            # Results still travel through a cache, so the workers'
+            # cache write stays the one commit point.
+            cache = result_cache.ResultCache(os.path.join(tmp, "results"))
+        with JobQueue(queue_path(tmp)) as queue:
+            report = queue.enqueue(ordered, cache, max_attempts=retries + 1)
+            events = _EventLog(queue, dict(zip(report.keys, ordered)),
+                               progress)
+            for job in queue.jobs(CACHED):  # no worker ever sees these
+                spec = events.specs[job.key]
+                if trace is not None:
+                    _write_cached_stub(trace, spec)
+                if heartbeat is not None:
+                    write_cell_status(heartbeat, spec, "cached", progress=1.0)
+            events.poll()
+            worker_kwargs = dict(poll_s=_LOCAL_POLL_S, drain=True,
+                                 cache=cache, trace=trace, heartbeat=heartbeat)
+            if jobs == 1 and report.queued:
+                worker = Worker(tmp, **worker_kwargs)
+                with worker.queue:
+                    while worker.step():
+                        events.poll()
+            elif report.queued:
+                run_workers(queue, min(jobs, report.queued), events.poll,
+                            **worker_kwargs)
+            rows = {job.key: job for job in queue.jobs()}
+            outcomes = {}
+            for spec, key in zip(ordered, report.keys):
+                job = rows[key]
+                result = cache.get(spec) if job.state != FAILED else None
+                cached = job.state == CACHED and result is not None
+                if cached:
+                    # Mirror RunSpec.run(): a cached cell did no simulation
+                    # work, so it must not replay the original wall time.
+                    result.wall_seconds, result.from_cache = 0.0, True
                 outcomes[spec] = CellOutcome(
-                    spec, result=result, attempts=attempts[spec],
-                    resumed=run_spec.resume,
+                    spec, result=result, from_cache=cached,
+                    error=None if result is not None else (
+                        job.error or f"no result (job left {job.state})"),
+                    # Executions: the failed ones plus the one that won.
+                    attempts=job.attempts + (job.state == DONE),
+                    # The final attempt ran with resume=True iff it
+                    # continued an earlier claim of a checkpointing cell.
+                    resumed=job.claims > 1 and spec.snapshot_every > 0,
                 )
-                if cache is not None:
-                    cache.put(spec, result)
-                if heartbeat is not None:
-                    write_cell_status(
-                        heartbeat, spec, "done",
-                        attempts=attempts[spec], resumed=run_spec.resume,
-                    )
-                _emit(progress, SweepEvent("done", spec, completed, total))
-            elif attempts[spec] <= retries:
-                work.append((spec, resume_variant(run_spec)))
-                if heartbeat is not None:
-                    write_cell_status(
-                        heartbeat, spec, "retrying", attempts=attempts[spec],
-                    )
-                _emit(progress, SweepEvent(
-                    "retry", spec, completed, total, error=error
-                ))
-            else:
-                completed += 1
-                outcomes[spec] = CellOutcome(
-                    spec, error=error, attempts=attempts[spec],
-                    resumed=run_spec.resume,
-                )
-                if heartbeat is not None:
-                    write_cell_status(
-                        heartbeat, spec, "failed",
-                        attempts=attempts[spec], resumed=run_spec.resume,
-                    )
-                _emit(progress, SweepEvent(
-                    "failed", spec, completed, total, error=error
-                ))
-
     if heartbeat is not None:
         write_manifest(heartbeat, ordered, started_at=sweep_started,
                        finished_at=time.time())
-    return {spec: outcomes[spec] for spec in ordered}
+    return outcomes
+
+
+@dataclass
+class _EventLog:
+    """The one place queue transitions become sweep events: job states
+    double as event statuses, and every attempt a job burned without
+    ending is a ``retry``.  ``specs`` maps job keys to specs."""
+
+    queue: object
+    specs: Dict[str, RunSpec]
+    progress: Optional[ProgressFn]
+    completed: int = 0
+    seen: Dict[str, Tuple[str, int]] = field(default_factory=dict)
+
+    def poll(self) -> None:
+        from repro.service.queue import FAILED, QUEUED, TERMINAL_JOB_STATES
+
+        if self.progress is None:
+            return
+        for job in self.queue.jobs():
+            before = self.seen.get(job.key, (QUEUED, 0))
+            if (job.state, job.attempts) == before:
+                continue
+            self.seen[job.key] = (job.state, job.attempts)
+            spec, total = self.specs[job.key], len(self.specs)
+            for _ in range(job.attempts - before[1] - (job.state == FAILED)):
+                self.progress(SweepEvent("retry", spec, self.completed,
+                                         total, error=job.error))
+            if job.state in TERMINAL_JOB_STATES:
+                self.completed += 1
+                self.progress(SweepEvent(
+                    job.state, spec, self.completed, total,
+                    error=job.error if job.state == FAILED else None,
+                ))
 
 
 class SweepError(RuntimeError):

@@ -454,10 +454,10 @@ def eight_cell_sweep(tmp_path, monkeypatch):
     # retry re-runs it with resume=True, which lands as a resumed cell.
     real_execute_cell = sweep.execute_cell
 
-    def flaky(spec, trace=None, heartbeat=None):
+    def flaky(spec, trace=None, heartbeat=None, epoch_hook=None):
         if spec.seed == 17 and not spec.resume:
             return (False, None, "RuntimeError: injected crash")
-        return real_execute_cell(spec, trace, heartbeat)
+        return real_execute_cell(spec, trace, heartbeat, epoch_hook)
 
     monkeypatch.setattr(sweep, "execute_cell", flaky)
     specs = done_specs + [cached_spec, failed_spec, flaky_spec]

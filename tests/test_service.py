@@ -157,6 +157,17 @@ class TestJobQueue:
         assert jobs[0].lease_owner == "w1"
         assert jobs[0].spec() == _spec(seed=39)
 
+    def test_claims_follow_submission_order_within_a_batch(self, tmp_path):
+        """One enqueue batch shares a single enqueued_at; claims must
+        still follow the order the specs were submitted in."""
+        queue = JobQueue(queue_path(str(tmp_path / "svc")))
+        specs = [_spec(seed=s) for s in range(6)]
+        queue.enqueue(specs, cache=None, now=100.0)
+        claimed = [queue.claim("w1", lease_s=60.0, now=101.0).spec().seed
+                   for _ in specs]
+        assert claimed == [0, 1, 2, 3, 4, 5]
+        assert [job.spec().seed for job in queue.jobs()] == claimed
+
     def test_queue_sustains_thousands_of_cells(self, tmp_path):
         """Enqueue scale check: thousands of rows, fast claims."""
         queue = JobQueue(queue_path(str(tmp_path / "svc")))

@@ -268,12 +268,13 @@ class TestSweepResume:
         original_execute = RunSpec.execute
 
         def chaotic_execute(self, obs=None, faults=None,
-                            snapshots=snapshot.DEFAULT):
+                            snapshots=snapshot.DEFAULT, epoch_hook=None):
             executed.append(self)
             if not self.resume:
                 faults = FaultInjector(FaultConfig(kill_at_epoch=1, seed=3))
             return original_execute(
-                self, obs=obs, faults=faults, snapshots=snapshots
+                self, obs=obs, faults=faults, snapshots=snapshots,
+                epoch_hook=epoch_hook,
             )
 
         monkeypatch.setattr(RunSpec, "execute", chaotic_execute)
@@ -298,12 +299,13 @@ class TestSweepResume:
         original_execute = RunSpec.execute
 
         def flaky_execute(self, obs=None, faults=None,
-                          snapshots=snapshot.DEFAULT):
+                          snapshots=snapshot.DEFAULT, epoch_hook=None):
             calls.append(self)
             if len(calls) == 1:
                 raise ValueError("transient")
             return original_execute(
-                self, obs=obs, faults=faults, snapshots=snapshots
+                self, obs=obs, faults=faults, snapshots=snapshots,
+                epoch_hook=epoch_hook,
             )
 
         monkeypatch.setattr(RunSpec, "execute", flaky_execute)

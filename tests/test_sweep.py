@@ -1,10 +1,15 @@
 """The sweep executor, result cache, and the RunSpec API."""
 
 import json
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import repro
 from repro.experiments.common import SMOKE_SCALE, run_grid
 from repro.sim import cache as result_cache
 from repro.sim.cache import ResultCache
@@ -206,6 +211,44 @@ class TestSweep:
         outcome = out[_spec()]
         assert not outcome.ok and outcome.attempts == 2
         assert "cell blew up" in outcome.error
+
+    def test_worker_death_costs_one_attempt_not_the_sweep(self):
+        """A cell whose worker process dies hard is charged an attempt
+        and retried in a worker, never in the sweep's own process; its
+        sibling still completes.  Runs in a subprocess so a sweep that
+        dies with the cell cannot take pytest down with it."""
+        good = _spec()
+        bad = _spec(seed=43)
+        script = textwrap.dedent("""
+            import json, os, sys
+            from repro.sim.runner import RunSpec
+            from repro.sim.sweep import run_sweep
+
+            good, bad = (RunSpec.from_dict(d) for d in json.loads(sys.argv[1]))
+            real_execute = RunSpec.execute
+
+            def execute(self, **kwargs):
+                if self.seed == bad.seed:
+                    os._exit(1)
+                return real_execute(self, **kwargs)
+
+            RunSpec.execute = execute
+            out = run_sweep([bad, good], jobs=2, retries=1, cache=None)
+            print(json.dumps({"good_ok": out[good].ok,
+                              "bad_ok": out[bad].ok,
+                              "bad_attempts": out[bad].attempts}))
+        """)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script,
+             json.dumps([good.to_dict(), bad.to_dict()])],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert report == {"good_ok": True, "bad_ok": False,
+                          "bad_attempts": 2}
 
     def test_progress_events(self, tmp_path):
         cache = ResultCache(tmp_path / "c")

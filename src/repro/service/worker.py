@@ -75,12 +75,14 @@ class Worker:
 
     ``trace``/``heartbeat`` take ``run_sweep``'s configs (``None``: off);
     ``heartbeat`` defaults to the service directory's ``heartbeat_dir``.
+    ``streams`` is ``run_sweep``'s :class:`~repro.sim.streams.StreamStore`
+    (``None``, as in the service: every cell generates its stream live).
     """
 
     def __init__(self, directory: str, worker_id: Optional[str] = None,
                  lease_s: float = DEFAULT_LEASE_S, poll_s: float = 1.0,
                  drain: bool = False, cache=result_cache.DEFAULT,
-                 trace=None, heartbeat=SERVICE_HEARTBEAT):
+                 trace=None, heartbeat=SERVICE_HEARTBEAT, streams=None):
         self.worker_id = worker_id or new_worker_id()
         self.lease_s = float(lease_s)
         self.poll_s = float(poll_s)
@@ -91,6 +93,7 @@ class Worker:
         if heartbeat == SERVICE_HEARTBEAT:
             heartbeat = HeartbeatConfig(directory=heartbeat_dir(directory))
         self.heartbeat = heartbeat
+        self.streams = streams
         self.queue = JobQueue(queue_path(directory))
 
     # -- the loop ----------------------------------------------------------
@@ -149,9 +152,10 @@ class Worker:
                     if continuation and spec.snapshot_every > 0 else spec)
         renewer = _LeaseRenewer(self.queue, job.key, self.worker_id,
                                 self.lease_s)
+        extra = {} if self.streams is None else {"streams": self.streams}
         ok, result, error = sweep.execute_cell(
             run_spec, trace=self.trace, heartbeat=self.heartbeat,
-            epoch_hook=renewer,
+            epoch_hook=renewer, **extra,
         )
         if ok:
             if self.cache is not None:

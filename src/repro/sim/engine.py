@@ -20,6 +20,8 @@ what happens on its critical path and nothing else.*
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
@@ -40,6 +42,12 @@ from repro.sim.machine import MachineSpec
 from repro.sim.macro import EventCoalescer
 from repro.sim.metrics import MetricsCollector
 from repro.workloads.base import AccessEvent, AllocEvent, FreeEvent, Workload
+
+
+#: The :meth:`SimResult.to_dict` fields that vary between runs of the
+#: same spec (host timing, cache provenance); everything else is the
+#: result's identity (:meth:`SimResult.digest`).
+TIMING_FIELDS = ("wall_seconds", "phase_ns", "from_cache")
 
 
 @dataclass
@@ -145,6 +153,15 @@ class SimResult:
             "from_cache": self.from_cache,
             "observability": self.observability,
         })
+
+    def digest(self) -> str:
+        """sha256 of :meth:`to_dict` minus exactly :data:`TIMING_FIELDS`:
+        equal digests mean bit-identical simulated behaviour."""
+        data = self.to_dict()
+        for key in TIMING_FIELDS:
+            del data[key]
+        blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def json_safe(obj: Any) -> Any:
@@ -705,7 +722,14 @@ class Simulation:
                 self.workload.seek_events(skip)
                 skip = 0
             events = self.workload.events(np.random.default_rng(self.seed + 2))
-            self._run(events, skip, budget)
+            try:
+                self._run(events, skip, budget)
+            finally:
+                # Finish an abandoned generator now (budget, error), so
+                # its cleanup never waits for garbage collection.
+                close = getattr(events, "close", None)
+                if close is not None:
+                    close()
         # Close the tail window so timelines always cover the full run,
         # even when the last interval is shorter than the period.
         if self.metrics.finalize(

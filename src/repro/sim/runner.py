@@ -232,13 +232,16 @@ class RunSpec:
 
     # -- execution ---------------------------------------------------------
 
-    def build(self, obs=None, faults=None) -> Simulation:
+    def build(self, obs=None, faults=None, streams=None) -> Simulation:
         """Construct the :class:`Simulation` this spec describes.
 
         ``obs`` optionally supplies a pre-configured
         :class:`repro.obs.Observability` (e.g. with tracing enabled);
-        ``faults`` an optional :class:`repro.check.FaultInjector`.
-        Neither is part of the spec identity -- tracing and checking
+        ``faults`` an optional :class:`repro.check.FaultInjector`;
+        ``streams`` a sweep's :class:`~repro.sim.streams.StreamStore`,
+        which may record or replay the workload's event stream (the
+        results are bit-identical to live generation).
+        None of them is part of the spec identity -- tracing and checking
         never change simulation results (fault injection does, which is
         why injected runs are never cached: they only flow through
         ``build()``, not ``run()``).
@@ -257,6 +260,8 @@ class RunSpec:
             machine = machine.collapse_to_slowest()
         elif self.machine_variant == "all-fast":
             machine = machine.collapse_to_fastest()
+        if streams is not None:
+            workload = streams.open(self, workload)
         policy = make_policy(self.policy, **self.policy_kwargs_dict)
         if self.timeseries_every > 0:
             from repro.obs import MetricsTimeSeries, Observability
@@ -274,7 +279,7 @@ class RunSpec:
 
     def execute(
         self, obs=None, faults=None, snapshots=snapshot_store.DEFAULT,
-        epoch_hook=None,
+        epoch_hook=None, streams=None,
     ) -> SimResult:
         """Build and run this spec, honouring checkpoint/resume fields.
 
@@ -287,12 +292,13 @@ class RunSpec:
         :meth:`cache_key`.  ``snapshots`` follows
         :func:`repro.snapshot.resolve_store`.  ``epoch_hook`` is an
         optional observer ``hook(sim)`` fired after every epoch close
-        (the sweep heartbeat writer).
+        (the sweep heartbeat writer).  ``streams`` is passed to
+        :meth:`build`.
         """
         store = None
         if self.snapshot_every > 0 or self.resume:
             store = snapshot_store.resolve_store(snapshots)
-        sim = self.build(obs=obs, faults=faults)
+        sim = self.build(obs=obs, faults=faults, streams=streams)
         if epoch_hook is not None:
             sim.epoch_hook = epoch_hook
         if store is not None and self.snapshot_every > 0:

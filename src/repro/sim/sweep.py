@@ -17,6 +17,9 @@ scheduler, one commit point and one attempt ledger.  Sweeps are:
   to ``jobs`` forked workers claim cells in submission order, with
   bit-identical results (every simulation derives its randomness from
   the spec seed);
+* **stream-sharing** -- a workload stream that several cells consume
+  is generated once, recorded, and replayed by the others
+  (:mod:`repro.sim.streams`);
 * **fault-isolated** -- a cell that raises, or whose worker process
   dies outright, is retried ``retries`` times and then reported as a
   failed :class:`CellOutcome` while the rest of the sweep completes;
@@ -52,6 +55,7 @@ from repro.obs.heartbeat import (
 from repro.sim import cache as result_cache
 from repro.sim.engine import SimResult
 from repro.sim.runner import RunSpec
+from repro.sim.streams import StreamStore
 
 # -- default parallelism ------------------------------------------------------
 
@@ -200,6 +204,7 @@ def execute_cell(
     spec: RunSpec, trace: Optional[TraceConfig] = None,
     heartbeat: Optional[HeartbeatConfig] = None,
     epoch_hook: Optional[Callable] = None,
+    streams: Optional[StreamStore] = None,
 ) -> Tuple[bool, Optional[SimResult], Optional[str]]:
     """Execute one spec; never raises for ordinary cell errors.
 
@@ -210,7 +215,9 @@ def execute_cell(
     ``heartbeat``, the cell streams its status into the heartbeat
     directory per epoch and stamps a terminal ``done``/``failed`` state.
     An extra ``epoch_hook`` (e.g. the service worker's lease renewal)
-    is chained after the heartbeat's own hook.
+    is chained after the heartbeat's own hook.  ``streams`` is the
+    sweep's :class:`~repro.sim.streams.StreamStore`: the cell records
+    or replays its workload stream there.
 
     Only :class:`Exception` is converted into a failed-cell tuple;
     ``KeyboardInterrupt``/``SystemExit`` propagate so Ctrl-C cancels a
@@ -238,7 +245,10 @@ def execute_cell(
             for each in hooks:
                 each(sim)
 
-        result = spec.execute(obs=obs, epoch_hook=hook)
+        # Only sweeps whose cells share a stream pass a store, so
+        # ``execute`` overrides without the parameter keep working.
+        extra = {} if streams is None else {"streams": streams}
+        result = spec.execute(obs=obs, epoch_hook=hook, **extra)
         if trace is not None:
             _export_cell_trace(trace, spec, obs, result)
         if hb is not None:
@@ -276,8 +286,15 @@ def run_sweep(
     has ``snapshot_every > 0`` is re-run with ``resume=True``, so the
     retry continues from the failed attempt's last epoch checkpoint
     instead of recomputing finished epochs.
+
+    Each workload stream that two or more queued cells share is
+    generated once: the first cell records it into the sweep's
+    temporary directory and every later cell replays it (see
+    :mod:`repro.sim.streams`).  Results are bit-identical either way.
     """
-    from repro.service.queue import CACHED, DONE, FAILED, JobQueue, queue_path
+    from repro.service.queue import (
+        CACHED, DONE, FAILED, QUEUED, JobQueue, queue_path,
+    )
     from repro.service.worker import Worker, run_workers
 
     ordered = list(dict.fromkeys(specs))
@@ -302,8 +319,13 @@ def run_sweep(
                 if heartbeat is not None:
                     write_cell_status(heartbeat, spec, "cached", progress=1.0)
             events.poll()
+            streams = StreamStore.for_specs(
+                os.path.join(tmp, "streams"),
+                [events.specs[job.key] for job in queue.jobs(QUEUED)],
+            )
             worker_kwargs = dict(poll_s=_LOCAL_POLL_S, drain=True,
-                                 cache=cache, trace=trace, heartbeat=heartbeat)
+                                 cache=cache, trace=trace, heartbeat=heartbeat,
+                                 streams=streams)
             if jobs == 1 and report.queued:
                 worker = Worker(tmp, **worker_kwargs)
                 with worker.queue:

@@ -7,7 +7,7 @@ workloads, and (c) plugging *real* traces (e.g. converted PEBS dumps)
 into the simulator: build the same layout and :class:`TraceWorkload`
 will drive it.
 
-Format v2 (default) — one small metadata ``.npz`` plus two
+Format v2 — one small metadata ``.npz`` plus two
 memory-mappable ``.npy`` sidecars next to it:
 
 ``<name>.npz`` (metadata, loaded in RAM; everything scales with event
@@ -34,14 +34,14 @@ record and replay in bounded memory.  The replay cursor releases fully
 consumed pages back to the OS (``madvise(MADV_DONTNEED)``) so peak RSS
 stays bounded by the release window, not the trace size.
 
-Format v1 (single ``.npz`` holding ``vpn``/``is_store`` inline) is
-still read transparently; pass ``format_version=1`` to
-:func:`record_trace` to write it.
+Format v1 (a single ``.npz`` holding ``vpn``/``is_store`` inline) is
+refused with an error naming the file: re-record it.
 """
 
 from __future__ import annotations
 
 import mmap as _mmap
+import os
 import struct
 from typing import Iterator, Optional
 
@@ -110,142 +110,111 @@ class NpyStreamWriter:
         self._f.close()
 
 
+class TraceWriter:
+    """Streaming v2 trace writer: :meth:`add` each event, then :meth:`close`.
+
+    Access arrays go straight to the ``.npy`` sidecars, so memory is
+    bounded by the event metadata, not the access count.  While writing
+    it earns the ``bounds_valid`` certificate: every offset is checked
+    against a conservative per-region page count (no 2 MiB round-up),
+    so a certified trace can never trip the engine's bounds guard and
+    replay may skip the per-segment scan.  :meth:`abort` drops a trace
+    that will never be completed.  This is the only trace writer: both
+    :func:`record_trace` and the sweep's stream recorder
+    (:mod:`repro.sim.streams`) use it.
+    """
+
+    def __init__(self, path: str, total_bytes: int):
+        self._meta_path, vpn_path, st_path = _sidecar_paths(path)
+        self._total_bytes = int(total_bytes)
+        self.accesses = 0
+        self._kinds, self._args, self._keys, self._thps = [], [], [], []
+        self._seg_keys, self._seg_lens, self._seg_inter = [], [], []
+        self._vpn = NpyStreamWriter(vpn_path, np.int64)
+        self._st = NpyStreamWriter(st_path, bool)
+        self._region_pages = {}
+        self._bounds_valid = True
+
+    def add(self, event) -> None:
+        if isinstance(event, AllocEvent):
+            self._event(KIND_ALLOC, event.nbytes, event.key, event.thp)
+            self._region_pages[event.key] = -(-event.nbytes // 4096)
+        elif isinstance(event, FreeEvent):
+            self._event(KIND_FREE, 0, event.key, False)
+            self._region_pages.pop(event.key, None)
+        elif isinstance(event, AccessEvent):
+            self._event(KIND_ACCESS, len(event.segments), "", False)
+            for key, batch in event.segments:
+                self._seg_keys.append(key)
+                self._seg_lens.append(len(batch))
+                self._seg_inter.append(event.interleave)
+                if len(batch):
+                    limit = self._region_pages.get(key)
+                    if limit is None or int(batch.vpn.max()) >= limit:
+                        self._bounds_valid = False
+                self._vpn.append(batch.vpn)
+                self._st.append(batch.is_store)
+                self.accesses += len(batch)
+        else:
+            raise TypeError(f"unknown workload event {event!r}")
+
+    def _event(self, kind: int, arg: int, key: str, thp: bool) -> None:
+        self._kinds.append(kind)
+        self._args.append(arg)
+        self._keys.append(key)
+        self._thps.append(thp)
+
+    def close(self) -> dict:
+        """Finish the sidecars and write the metadata; returns stats."""
+        self._vpn.close()
+        self._st.close()
+        np.savez_compressed(
+            self._meta_path,
+            format_version=np.int64(TRACE_FORMAT_VERSION),
+            event_kind=np.array(self._kinds, dtype=np.int8),
+            event_arg=np.array(self._args, dtype=np.int64),
+            event_key=np.array(self._keys, dtype=object),
+            event_thp=np.array(self._thps, dtype=bool),
+            seg_key=np.array(self._seg_keys, dtype=object),
+            seg_len=np.array(self._seg_lens, dtype=np.int64),
+            seg_interleave=np.array(self._seg_inter, dtype=bool),
+            total_bytes=np.int64(self._total_bytes),
+            total_accesses=np.int64(self.accesses),
+            bounds_valid=np.bool_(self._bounds_valid),
+        )
+        return {"events": len(self._kinds), "accesses": self.accesses}
+
+    def abort(self) -> None:
+        """Close and delete the sidecars; no metadata is written."""
+        for writer in (self._vpn, self._st):
+            writer.close()
+            os.unlink(writer.path)
+
+
 def record_trace(workload: Workload, path: str, seed: int = 42,
-                 max_accesses: Optional[int] = None,
-                 format_version: int = TRACE_FORMAT_VERSION) -> dict:
+                 max_accesses: Optional[int] = None) -> dict:
     """Run ``workload``'s generator and save its event stream.
 
-    Returns a small stats dict (events, accesses).  The default v2
-    format streams the access arrays to the ``.npy`` sidecars as they
-    are generated: recording memory is bounded by the event metadata,
-    not the access count.
+    Returns a small stats dict (events, accesses).  The access arrays
+    stream to the ``.npy`` sidecars as they are generated (see
+    :class:`TraceWriter`); a generator that raises leaves no trace.
     """
-    if format_version not in (1, TRACE_FORMAT_VERSION):
-        raise ValueError(f"unknown trace format version {format_version}")
-    if format_version == 1:
-        return _record_trace_v1(workload, path, seed, max_accesses)
-
-    meta_path, vpn_path, st_path = _sidecar_paths(path)
-    kinds, args, keys, thps = [], [], [], []
-    seg_keys, seg_lens, seg_inter = [], [], []
-    vpn_w = NpyStreamWriter(vpn_path, np.int64)
-    st_w = NpyStreamWriter(st_path, bool)
-    accesses = 0
-    # Conservative per-region page counts (no 2 MiB round-up): offsets
-    # verified against these can never trip the engine's bounds guard,
-    # so replay may skip the per-segment scan (``bounds_valid``).
-    region_pages = {}
-    bounds_valid = True
-
+    writer = TraceWriter(path, workload.total_bytes)
     try:
         for event in workload.events(np.random.default_rng(seed)):
-            if isinstance(event, AllocEvent):
-                kinds.append(KIND_ALLOC)
-                args.append(event.nbytes)
-                keys.append(event.key)
-                thps.append(event.thp)
-                region_pages[event.key] = -(-event.nbytes // 4096)
-            elif isinstance(event, FreeEvent):
-                kinds.append(KIND_FREE)
-                args.append(0)
-                keys.append(event.key)
-                thps.append(False)
-                region_pages.pop(event.key, None)
-            elif isinstance(event, AccessEvent):
-                kinds.append(KIND_ACCESS)
-                args.append(len(event.segments))
-                keys.append("")
-                thps.append(False)
-                for key, batch in event.segments:
-                    seg_keys.append(key)
-                    seg_lens.append(len(batch))
-                    seg_inter.append(event.interleave)
-                    if len(batch):
-                        limit = region_pages.get(key)
-                        if limit is None or int(batch.vpn.max()) >= limit:
-                            bounds_valid = False
-                    vpn_w.append(batch.vpn)
-                    st_w.append(batch.is_store)
-                    accesses += len(batch)
-            if max_accesses is not None and accesses >= max_accesses:
+            writer.add(event)
+            if max_accesses is not None and writer.accesses >= max_accesses:
                 break
-    finally:
-        vpn_w.close()
-        st_w.close()
-
-    np.savez_compressed(
-        meta_path,
-        format_version=np.int64(TRACE_FORMAT_VERSION),
-        event_kind=np.array(kinds, dtype=np.int8),
-        event_arg=np.array(args, dtype=np.int64),
-        event_key=np.array(keys, dtype=object),
-        event_thp=np.array(thps, dtype=bool),
-        seg_key=np.array(seg_keys, dtype=object),
-        seg_len=np.array(seg_lens, dtype=np.int64),
-        seg_interleave=np.array(seg_inter, dtype=bool),
-        total_bytes=np.int64(workload.total_bytes),
-        total_accesses=np.int64(accesses),
-        bounds_valid=np.bool_(bounds_valid),
-    )
-    return {"events": len(kinds), "accesses": accesses}
-
-
-def _record_trace_v1(workload, path, seed, max_accesses) -> dict:
-    """The historical in-memory single-``.npz`` recorder."""
-    kinds, args, keys, thps = [], [], [], []
-    seg_keys, seg_lens, seg_inter = [], [], []
-    vpn_parts, store_parts = [], []
-    accesses = 0
-
-    for event in workload.events(np.random.default_rng(seed)):
-        if isinstance(event, AllocEvent):
-            kinds.append(KIND_ALLOC)
-            args.append(event.nbytes)
-            keys.append(event.key)
-            thps.append(event.thp)
-        elif isinstance(event, FreeEvent):
-            kinds.append(KIND_FREE)
-            args.append(0)
-            keys.append(event.key)
-            thps.append(False)
-        elif isinstance(event, AccessEvent):
-            kinds.append(KIND_ACCESS)
-            args.append(len(event.segments))
-            keys.append("")
-            thps.append(False)
-            for key, batch in event.segments:
-                seg_keys.append(key)
-                seg_lens.append(len(batch))
-                seg_inter.append(event.interleave)
-                vpn_parts.append(batch.vpn)
-                store_parts.append(batch.is_store)
-                accesses += len(batch)
-        if max_accesses is not None and accesses >= max_accesses:
-            break
-
-    np.savez_compressed(
-        path,
-        event_kind=np.array(kinds, dtype=np.int8),
-        event_arg=np.array(args, dtype=np.int64),
-        event_key=np.array(keys, dtype=object),
-        event_thp=np.array(thps, dtype=bool),
-        seg_key=np.array(seg_keys, dtype=object),
-        seg_len=np.array(seg_lens, dtype=np.int64),
-        seg_interleave=np.array(seg_inter, dtype=bool),
-        vpn=(np.concatenate(vpn_parts) if vpn_parts
-             else np.empty(0, dtype=np.int64)),
-        is_store=(np.concatenate(store_parts) if store_parts
-                  else np.empty(0, dtype=bool)),
-        total_bytes=np.int64(workload.total_bytes),
-        total_accesses=np.int64(accesses),
-    )
-    return {"events": len(kinds), "accesses": accesses}
+    except BaseException:
+        writer.abort()
+        raise
+    return writer.close()
 
 
 class TraceWorkload(Workload):
     """Replays a trace recorded with :func:`record_trace`.
 
-    v2 traces replay through memory-mapped sidecars: each emitted
+    Traces replay through memory-mapped sidecars: each emitted
     :class:`AccessBatch` is a zero-copy slice of the mapped file, and a
     chunk cursor tracks the replay position in *replayed events* —
     checkpointable via :meth:`state_dict`/:meth:`load_state` and
@@ -259,7 +228,7 @@ class TraceWorkload(Workload):
     collector used; this knob decouples replay cadence from it, and the
     benchmark harness uses it to model fine-grained traces.
 
-    ``release_mb`` (v2 + mmap only): after roughly that many megabytes
+    ``release_mb`` (mmap only): after roughly that many megabytes
     of trace have been consumed, fully-read pages are released with
     ``madvise(MADV_DONTNEED)`` so peak RSS stays bounded for traces
     larger than RAM (0 disables).  Released pages re-fault from the
@@ -275,6 +244,12 @@ class TraceWorkload(Workload):
         meta = np.load(meta_path, allow_pickle=True)
         version = (int(meta["format_version"])
                    if "format_version" in meta.files else 1)
+        if version != TRACE_FORMAT_VERSION:
+            raise ValueError(
+                f"{meta_path}: trace format v{version} is not supported "
+                f"(expected v{TRACE_FORMAT_VERSION}); re-record it with "
+                "record_trace"
+            )
         super().__init__(
             total_bytes=int(meta["total_bytes"]),
             total_accesses=max(1, int(meta["total_accesses"])),
@@ -284,9 +259,8 @@ class TraceWorkload(Workload):
                 f"event_accesses must be positive, got {event_accesses}"
             )
         self.path = path
-        self.format_version = version
         self.event_accesses = event_accesses
-        self._mmap = bool(mmap) and version >= 2
+        self._mmap = bool(mmap)
         self._release_bytes = int(release_mb) * 1024 * 1024
         self._released_accesses = 0
 
@@ -297,17 +271,13 @@ class TraceWorkload(Workload):
         self._seg_key = meta["seg_key"]
         self._seg_len = meta["seg_len"]
         self._seg_inter = meta["seg_interleave"]
-        if version == 1:
-            self._vpn = meta["vpn"]
-            self._is_store = meta["is_store"]
-        else:
-            mode = "r" if self._mmap else None
-            self._vpn = np.load(vpn_path, mmap_mode=mode)
-            self._is_store = np.load(st_path, mmap_mode=mode)
-            if bool(meta.get("bounds_valid", False)):
-                # Offsets were verified against their regions at record
-                # time; the engine's per-segment scan is redundant.
-                self.needs_bounds_check = False
+        mode = "r" if self._mmap else None
+        self._vpn = np.load(vpn_path, mmap_mode=mode)
+        self._is_store = np.load(st_path, mmap_mode=mode)
+        if bool(meta.get("bounds_valid", False)):
+            # Offsets were verified against their regions at record
+            # time; the engine's per-segment scan is redundant.
+            self.needs_bounds_check = False
 
         # Replay index: per-event segment spans, per-segment access
         # spans, and per-event replayed-chunk counts (all O(E + S)).
@@ -362,7 +332,7 @@ class TraceWorkload(Workload):
     # -- replay ------------------------------------------------------------
 
     def _maybe_release(self, consumed_accesses: int) -> None:
-        """Drop fully consumed mmap pages from RSS (v2 + mmap only)."""
+        """Drop fully consumed mmap pages from RSS (mmap only)."""
         if not self._mmap or self._release_bytes <= 0:
             return
         if ((consumed_accesses - self._released_accesses) * 9

@@ -363,7 +363,7 @@ class TestZipfGuidedLookup:
 # -- end-to-end ----------------------------------------------------------------
 
 
-def _run_e2e(mode: str) -> dict:
+def _run_e2e(mode: str) -> str:
     from repro.sim.runner import RunSpec
 
     # Build *inside* the installed block: the TLB picks its
@@ -373,11 +373,7 @@ def _run_e2e(mode: str) -> dict:
         spec = RunSpec("silo", "memtis", ratio="1:8", scale=TEST_SCALE,
                        seed=11, max_accesses=60_000)
         result = spec.build().run(max_accesses=spec.max_accesses)
-    d = result.to_dict()
-    # Host timing is the one legitimately nondeterministic output.
-    d.pop("wall_seconds", None)
-    d.pop("phase_ns", None)
-    return d
+    return result.digest()
 
 
 class TestEndToEndDifferential:

@@ -52,15 +52,8 @@ def _build(spec, faults=None):
     return sim
 
 
-def _canon(result):
-    d = result.to_dict()
-    d.pop("wall_seconds")
-    d.pop("phase_ns")
-    return d
-
-
 def _run(spec):
-    return _canon(_build(spec).run(max_accesses=spec.max_accesses))
+    return _build(spec).run(max_accesses=spec.max_accesses).digest()
 
 
 def _use_reference_fusion(monkeypatch):
@@ -276,13 +269,13 @@ class TestMacroResume:
         sim = _build(spec)
         sim.snapshot_every = 1
         sim.snapshot_sink = lambda epoch, state: snaps.setdefault(epoch, state)
-        full = _canon(sim.run(max_accesses=spec.max_accesses))
+        full = sim.run(max_accesses=spec.max_accesses).digest()
         epochs = sorted(snaps)
         assert len(epochs) >= 3, "scenario too small to be meaningful"
         for k in {epochs[0], epochs[len(epochs) // 2], epochs[-1]}:
             resumed = _build(spec)
             resumed.load_state(snaps[k])
-            assert _canon(resumed.run(max_accesses=spec.max_accesses)) \
+            assert resumed.run(max_accesses=spec.max_accesses).digest() \
                 == full, f"resume from epoch {k} diverged"
 
     @pytest.mark.parametrize("fusion", ["staged", "reference"])
@@ -292,15 +285,13 @@ class TestMacroResume:
         if fusion == "reference":
             _use_reference_fusion(monkeypatch)
         spec = _spec(snapshot_every=1)
-        clean = _canon(spec.execute(snapshots=None))
+        clean = spec.execute(snapshots=None).digest()
         store = snapshot.SnapshotStore(tmp_path / "store")
         injector = FaultInjector(FaultConfig(kill_at_epoch=1, seed=5))
         with pytest.raises(SimulationKilled):
             spec.execute(faults=injector, snapshots=store)
         assert store.latest_epoch(spec) == 1
-        resumed = _canon(
-            spec.replace(resume=True).execute(snapshots=store)
-        )
+        resumed = spec.replace(resume=True).execute(snapshots=store).digest()
         assert resumed == clean
 
     def test_kill_under_fault_injection(self, tmp_path):
@@ -308,15 +299,15 @@ class TestMacroResume:
         cfg = FaultConfig(drop_sample_prob=0.05, dup_sample_prob=0.05,
                           alloc_fail_prob=0.02, tick_delay_prob=0.10, seed=9)
         spec = _spec(snapshot_every=1)
-        clean = _canon(spec.execute(faults=FaultInjector(cfg),
-                                    snapshots=None))
+        clean = spec.execute(faults=FaultInjector(cfg),
+                             snapshots=None).digest()
         store = snapshot.SnapshotStore(tmp_path / "store")
         killer = dataclasses.replace(cfg, kill_at_epoch=1)
         with pytest.raises(SimulationKilled):
             spec.execute(faults=FaultInjector(killer), snapshots=store)
-        resumed = _canon(spec.replace(resume=True).execute(
+        resumed = spec.replace(resume=True).execute(
             faults=FaultInjector(cfg), snapshots=store
-        ))
+        ).digest()
         assert resumed == clean
 
     def test_macro_checkpoint_is_cadence_scoped(self, tmp_path):

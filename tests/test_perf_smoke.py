@@ -12,10 +12,13 @@ Coarse guards, not benchmarks (those live in ``benchmarks/``):
   count;
 * a ~2M-access fine-grained memtis replay at ``DEFAULT_MACRO_BATCH``
   must beat the same replay at ``macro_batch=0`` (the coalescer's
-  pass-through, one engine batch per trace event) by at least 1.5x.
+  pass-through, one engine batch per trace event) by at least 1.5x,
+  as the median ratio of five paired replays.
 """
 
+import gc
 import os
+import statistics
 import tempfile
 import time
 
@@ -162,6 +165,10 @@ _MACRO_SMOKE_SCALE = ScaleSpec(
 )
 
 
+#: Paired per-event/coalesced replays behind the median ratio.
+_MACRO_SMOKE_PAIRS = 5
+
+
 def test_macro_coalescer_at_least_1p5x_faster_than_per_event():
     """Coalescing at ``DEFAULT_MACRO_BATCH`` must beat the
     ``macro_batch=0`` pass-through cadence by >= 1.5x on a ~2M-access
@@ -181,6 +188,9 @@ def test_macro_coalescer_at_least_1p5x_faster_than_per_event():
         machine = MachineSpec.from_ratio(workload.total_bytes, ratio="1:8")
         sim = Simulation(workload, make_policy("memtis"), machine, seed=3,
                          macro_batch=macro_batch)
+        # Collect the previous replay's cyclic garbage outside the
+        # timed region, not at a random point inside it.
+        gc.collect()
         start = time.perf_counter()
         result = sim.run()
         elapsed = time.perf_counter() - start
@@ -190,10 +200,15 @@ def test_macro_coalescer_at_least_1p5x_faster_than_per_event():
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "smoke.npz")
         record_trace(make_workload("silo", _MACRO_SMOKE_SCALE), path, seed=7)
-        per_event = min(replay_seconds(0) for _ in range(2))
-        coalesced = min(replay_seconds(DEFAULT_MACRO_BATCH) for _ in range(2))
-    ratio = per_event / coalesced
+        # Paired: each pair runs both cadences back to back, so a slow
+        # host phase hits both sides of a ratio instead of one side of
+        # a min-vs-min comparison.
+        pairs = [(replay_seconds(0), replay_seconds(DEFAULT_MACRO_BATCH))
+                 for _ in range(_MACRO_SMOKE_PAIRS)]
+    ratio = statistics.median(per_event / coalesced
+                              for per_event, coalesced in pairs)
     assert ratio >= 1.5, (
-        f"macro coalescer only {ratio:.2f}x faster "
-        f"({per_event:.2f}s per-event vs {coalesced:.2f}s coalesced)"
+        f"macro coalescer only {ratio:.2f}x faster (median of "
+        f"{len(pairs)} paired ratios; per-event/coalesced seconds: "
+        + ", ".join(f"{a:.2f}/{b:.2f}" for a, b in pairs) + ")"
     )

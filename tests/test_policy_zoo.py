@@ -53,13 +53,6 @@ def _build(spec):
     return sim
 
 
-def _canon(result):
-    d = result.to_dict()
-    d.pop("wall_seconds")
-    d.pop("phase_ns")
-    return d
-
-
 # -- registry wiring (satellite: FIG5 comment/list consistency) ----------------
 
 
@@ -116,19 +109,19 @@ def test_zoo_snapshot_bit_identity(policy, mode):
     """run(N) == run(k) -> save -> load -> run(N-k) for first/mid/last k."""
     with installed(mode):
         spec = _spec(policy)
-        full = _canon(_build(spec).run(max_accesses=spec.max_accesses))
+        full = _build(spec).run(max_accesses=spec.max_accesses).digest()
         snaps = {}
         sim = _build(spec)
         sim.snapshot_every = 1
         sim.snapshot_sink = lambda epoch, state: snaps.setdefault(epoch, state)
-        captured = _canon(sim.run(max_accesses=spec.max_accesses))
+        captured = sim.run(max_accesses=spec.max_accesses).digest()
         assert captured == full, "snapshotting perturbed the trajectory"
         epochs = sorted(snaps)
         assert len(epochs) >= 3, "scenario too small to be meaningful"
         for k in {epochs[0], epochs[len(epochs) // 2], epochs[-1]}:
             sim = _build(spec)
             sim.load_state(snaps[k])
-            resumed = _canon(sim.run(max_accesses=spec.max_accesses))
+            resumed = sim.run(max_accesses=spec.max_accesses).digest()
             assert resumed == full, \
                 f"{policy}: resume from epoch {k} diverged"
 

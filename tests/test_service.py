@@ -51,14 +51,6 @@ def _spec(**overrides):
     return RunSpec(**base)
 
 
-def _canon(result):
-    """Result dict minus host-timing fields (the only legit variance)."""
-    d = result.to_dict()
-    d.pop("wall_seconds")
-    d.pop("phase_ns")
-    return d
-
-
 # -- queue semantics -----------------------------------------------------------
 
 
@@ -214,7 +206,7 @@ class TestWorker:
         # Results landed in the shared cache, bit-identical to serial.
         cache = result_cache.resolve_cache(result_cache.DEFAULT)
         for spec in specs:
-            assert _canon(cache.get(spec)) == _canon(spec.execute())
+            assert cache.get(spec).digest() == spec.execute().digest()
         # Heartbeats streamed into the service's hb dir.
         _, cells = read_heartbeats(heartbeat_dir(d))
         assert sorted(c["state"] for c in cells) == ["done", "done"]
@@ -407,7 +399,7 @@ class TestServiceChaos:
                 (71, 72, 73, 74, 75, 76),
             )
         ]
-        serial = {spec.cache_key(): _canon(spec.execute()) for spec in specs}
+        serial = {spec.cache_key(): spec.execute().digest() for spec in specs}
 
         queue = JobQueue(queue_path(d))
         report = queue.enqueue(specs)
@@ -472,7 +464,7 @@ class TestServiceChaos:
         for spec in specs:
             cached = cache.get(spec)
             assert cached is not None
-            assert _canon(cached) == serial[spec.cache_key()], spec.label()
+            assert cached.digest() == serial[spec.cache_key()], spec.label()
 
         # The status CLI agrees and exits clean.
         assert cli_main(["service", "status", d]) == 0

@@ -45,11 +45,8 @@ def _build(spec, faults=None):
 
 
 def _canon(result):
-    """Result dict minus host-timing fields (the only legit variance)."""
-    d = result.to_dict()
-    d.pop("wall_seconds")
-    d.pop("phase_ns")
-    return d
+    """The result's identity under the one timing rule."""
+    return result.digest()
 
 
 def _capture_all(spec):

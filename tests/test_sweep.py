@@ -212,19 +212,25 @@ class TestSweep:
         assert not outcome.ok and outcome.attempts == 2
         assert "cell blew up" in outcome.error
 
-    def test_worker_death_costs_one_attempt_not_the_sweep(self):
+    def test_worker_death_costs_one_attempt_not_the_sweep(self, tmp_path):
         """A cell whose worker process dies hard is charged an attempt
         and retried in a worker, never in the sweep's own process; its
-        sibling still completes.  Runs in a subprocess so a sweep that
-        dies with the cell cannot take pytest down with it."""
+        siblings still complete, and the sweep's temporary directory
+        (recorded streams included) is gone afterwards.  Runs in a
+        subprocess with its own TMPDIR so a sweep that dies with the
+        cell cannot take pytest down with it."""
         good = _spec()
         bad = _spec(seed=43)
+        # An unbudgeted cell and its baseline share a stream: one
+        # records it, the other replays it.
+        full = _spec(max_accesses=None)
         script = textwrap.dedent("""
-            import json, os, sys
+            import json, os, sys, tempfile
             from repro.sim.runner import RunSpec
             from repro.sim.sweep import run_sweep
 
-            good, bad = (RunSpec.from_dict(d) for d in json.loads(sys.argv[1]))
+            good, bad, full = (RunSpec.from_dict(d)
+                               for d in json.loads(sys.argv[1]))
             real_execute = RunSpec.execute
 
             def execute(self, **kwargs):
@@ -233,22 +239,30 @@ class TestSweep:
                 return real_execute(self, **kwargs)
 
             RunSpec.execute = execute
-            out = run_sweep([bad, good], jobs=2, retries=1, cache=None)
+            shared = [full, full.baseline_spec()]
+            out = run_sweep([bad, good] + shared, jobs=2, retries=1,
+                            cache=None)
+            left = [name for name in os.listdir(tempfile.gettempdir())
+                    if name.startswith("repro-sweep-")]
             print(json.dumps({"good_ok": out[good].ok,
                               "bad_ok": out[bad].ok,
-                              "bad_attempts": out[bad].attempts}))
+                              "bad_attempts": out[bad].attempts,
+                              "shared_ok": all(out[s].ok for s in shared),
+                              "left": left}))
         """)
         src = os.path.dirname(os.path.dirname(repro.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
+        tmpdir = tmp_path / "tmpdir"
+        tmpdir.mkdir()
+        env = dict(os.environ, PYTHONPATH=src, TMPDIR=str(tmpdir))
         proc = subprocess.run(
             [sys.executable, "-c", script,
-             json.dumps([good.to_dict(), bad.to_dict()])],
+             json.dumps([good.to_dict(), bad.to_dict(), full.to_dict()])],
             capture_output=True, text=True, timeout=300, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.strip().splitlines()[-1])
         assert report == {"good_ok": True, "bad_ok": False,
-                          "bad_attempts": 2}
+                          "bad_attempts": 2, "shared_ok": True, "left": []}
 
     def test_progress_events(self, tmp_path):
         cache = ResultCache(tmp_path / "c")

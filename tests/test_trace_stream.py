@@ -5,7 +5,7 @@ Format v2 stores the access arrays in memory-mappable ``.npy`` sidecars
 
 * mmap-chunked replay drives the engine to the same ``to_dict()`` as
   fully-in-memory replay (mmap is an I/O strategy, not a semantic);
-* v1 and v2 recordings of the same workload replay identically;
+* a v1 (inline single-``.npz``) trace is refused with a clear error;
 * re-chunking (``event_accesses``) preserves the flattened access
   stream and alloc/free ordering exactly, at any chunk size;
 * the chunk cursor checkpoints: ``seek_events(n)`` reproduces the tail
@@ -41,13 +41,6 @@ from repro.workloads.trace import (
 )
 
 from conftest import TEST_SCALE
-
-
-def _canon(result):
-    d = result.to_dict()
-    d.pop("wall_seconds")
-    d.pop("phase_ns")
-    return d
 
 
 def _record(workload_name, path, **kwargs):
@@ -120,10 +113,10 @@ class TestReplayEquality:
         _record("silo", path)
         sim_mem, wl_mem = _replay(path, mmap=False)
         assert not isinstance(wl_mem._vpn, np.memmap)
-        mem = _canon(sim_mem.run())
+        mem = sim_mem.run().digest()
         sim_map, wl_map = _replay(path, mmap=True)
         assert isinstance(wl_map._vpn, np.memmap)
-        assert _canon(sim_map.run()) == mem
+        assert sim_map.run().digest() == mem
 
     def test_mmap_chunked_macro_equals_in_memory_macro(self, tmp_path):
         """At a fixed macro cadence, chunk size and mmap vs in-memory
@@ -133,7 +126,7 @@ class TestReplayEquality:
         sim_a, _ = _replay(path, macro_batch=50_000, mmap=False)
         sim_b, wl = _replay(path, macro_batch=50_000, mmap=True,
                             event_accesses=7_000)
-        a, b = _canon(sim_a.run()), _canon(sim_b.run())
+        a, b = sim_a.run().to_dict(), sim_b.run().to_dict()
         # Chunking at 7k then coalescing to 50k hits the same 50k
         # boundaries as native 32k events only if 7k divides them --
         # it does not, so allow the documented cadence difference in
@@ -141,16 +134,27 @@ class TestReplayEquality:
         assert a["metrics"]["total_accesses"] == b["metrics"]["total_accesses"]
         assert a["final_rss_bytes"] == b["final_rss_bytes"]
 
-    def test_v1_and_v2_replay_identically(self, tmp_path):
-        p1 = str(tmp_path / "v1.npz")
-        p2 = str(tmp_path / "v2.npz")
-        s1 = _record("603.bwaves", p1, format_version=1)
-        s2 = _record("603.bwaves", p2)
-        assert s1 == s2
-        sim1, wl1 = _replay(p1)
-        sim2, wl2 = _replay(p2)
-        assert wl1.format_version == 1 and wl2.format_version == 2
-        assert _canon(sim1.run()) == _canon(sim2.run())
+    def test_v1_trace_is_refused(self, tmp_path):
+        """The inline single-``.npz`` v1 layout (no ``format_version``
+        key) is no longer read: loading one names the file and says how
+        to fix it."""
+        path = str(tmp_path / "v1.npz")
+        np.savez_compressed(
+            path,
+            event_kind=np.array([0, 2], dtype=np.int8),
+            event_arg=np.array([8 * 4096, 1], dtype=np.int64),
+            event_key=np.array(["r", ""], dtype=object),
+            event_thp=np.array([True, False]),
+            seg_key=np.array(["r"], dtype=object),
+            seg_len=np.array([2], dtype=np.int64),
+            seg_interleave=np.array([False]),
+            vpn=np.array([0, 1], dtype=np.int64),
+            is_store=np.array([False, True]),
+            total_bytes=np.int64(8 * 4096),
+            total_accesses=np.int64(2),
+        )
+        with pytest.raises(ValueError, match=r"v1\.npz.*format v1.*re-record"):
+            TraceWorkload(path)
 
     def test_v2_sidecars_exist_and_meta_is_small(self, tmp_path):
         path = str(tmp_path / "t.npz")
@@ -166,10 +170,6 @@ class TestReplayEquality:
         path = str(tmp_path / "t.npz")
         _record("silo", path)
         assert TraceWorkload(path).needs_bounds_check is False
-        # v1 traces never carry the certificate.
-        p1 = str(tmp_path / "v1.npz")
-        _record("silo", p1, format_version=1)
-        assert TraceWorkload(p1).needs_bounds_check is True
 
     def test_out_of_bounds_trace_keeps_check(self, tmp_path):
         class Rogue(Workload):
@@ -286,14 +286,14 @@ class TestCursorResume:
         sim, _ = build()
         sim.snapshot_every = 1
         sim.snapshot_sink = lambda epoch, state: snaps.setdefault(epoch, state)
-        full = _canon(sim.run())
+        full = sim.run().digest()
         epochs = sorted(snaps)
         assert len(epochs) >= 3, "scenario too small to be meaningful"
         for k in {epochs[0], epochs[len(epochs) // 2], epochs[-1]}:
             resumed, wl = build()
             resumed.load_state(snaps[k])
             consumed = resumed._events_consumed
-            assert _canon(resumed.run()) == full, \
+            assert resumed.run().digest() == full, \
                 f"resume from epoch {k} diverged"
             # The fast-forward really skipped: the workload started its
             # iteration at the checkpointed event, not at zero.

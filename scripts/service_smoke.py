@@ -27,13 +27,13 @@ import tempfile
 import time
 
 from repro.cli import main as cli_main
-from repro.obs.heartbeat import read_heartbeats
+from repro.obs.heartbeat import HeartbeatConfig
 from repro.service import (
     CACHED,
     DONE,
     RUNNING,
     JobQueue,
-    heartbeat_dir,
+    build_status,
     queue_path,
     worker_main,
 )
@@ -45,7 +45,7 @@ def _spawn(ctx, directory, worker_id):
     proc = ctx.Process(
         target=worker_main, args=(directory,),
         kwargs=dict(worker_id=worker_id, lease_s=LEASE_S, poll_s=0.05,
-                    drain=True),
+                    drain=True, heartbeat=HeartbeatConfig(directory)),
     )
     proc.start()
     return proc
@@ -53,16 +53,10 @@ def _spawn(ctx, directory, worker_id):
 
 def _checkpointed_victim_job(directory):
     """Key of a victim-owned running job with a checkpoint, else None."""
-    with JobQueue(queue_path(directory)) as queue:
-        running = queue.jobs(RUNNING)
-    _, cells = read_heartbeats(heartbeat_dir(directory))
-    checkpointed = {
-        cell.get("key") for cell in cells
-        if cell.get("last_checkpoint_epoch") is not None
-    }
-    for job in running:
-        if job.lease_owner == "victim" and job.key[:16] in checkpointed:
-            return job.key
+    for cell in build_status(directory)["cells"]:
+        if (cell["state"] == RUNNING and cell["lease_owner"] == "victim"
+                and cell.get("last_checkpoint_epoch") is not None):
+            return cell["key"]
     return None
 
 

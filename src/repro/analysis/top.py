@@ -1,28 +1,32 @@
-"""``repro top``: ASCII dashboard over a live sweep's heartbeat directory.
+"""``repro top``: ASCII dashboard over a sweep or service directory.
 
-Pure rendering -- reads nothing itself; callers pass the ``(manifest,
-cells)`` pair from :func:`repro.obs.heartbeat.read_heartbeats` and get a
-screenful of text back.  One render looks like::
+Pure rendering -- reads nothing itself; callers pass the dict from
+:func:`repro.service.queue.build_status` (queue rows joined with the
+workers' progress files) and get a screenful of text back.  One render
+looks like::
 
     sweep: 8 cells | 3 running 2 done 1 cached 1 resumed 1 failed
     throughput: 3.4M acc/s | accesses: 41.2M | violations: 0
+    ledger: claims 8 attempts 2 expirations 0 resumed 1
+    workers: 2 | w-1a2b3c4d running [0f3a9c1e] | w-5e6f7a8b idle
 
     cell              state    progress              epoch  rate      eta
     silo memtis 1:8   running  [#######>......]  52%     17  1.2M/s   9s
     ...
 
-The same module backs ``--snapshot`` one-shot mode (CI logs) and the
-refreshing live mode (redraw every ``--interval`` seconds).
+The same frame backs ``repro top --snapshot`` (CI logs), its refreshing
+live mode, ``repro service status`` and the HTTP ``/ascii`` and ``/``
+pages.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.obs.heartbeat import aggregate, display_state
 
 #: Render order for the header tallies (terminal states last).
-_STATE_ORDER = ("running", "retrying", "stalled", "done", "cached", "resumed",
+_STATE_ORDER = ("queued", "running", "stalled", "done", "cached", "resumed",
                 "failed", "unknown")
 
 
@@ -58,80 +62,23 @@ def progress_bar(fraction: float, width: int = 14) -> str:
     return "[" + "#" * filled + head + "." * (width - filled - len(head)) + "]"
 
 
-def render_dashboard(manifest: Dict[str, Any], cells: List[Dict[str, Any]],
-                     width: int = 80) -> str:
-    """One full dashboard frame as a string (no trailing newline)."""
+def render_dashboard(status: Dict[str, Any], width: int = 80) -> str:
+    """One full dashboard frame (no trailing newline) for a
+    :func:`~repro.service.queue.build_status` dict: sweep tallies,
+    ledger counters, workers, then one row per cell."""
+    cells = status.get("cells", [])
     agg = aggregate(cells)
-    total = len(manifest.get("cells", [])) or agg["cells"]
+    totals = status.get("totals", {})
     tallies = " ".join(
         f"{agg['states'][state]} {state}"
         for state in _STATE_ORDER if agg["states"].get(state)
-    ) or "no heartbeats yet"
+    ) or "empty queue"
     lines = [
-        f"sweep: {total} cells | {tallies}",
+        f"sweep: {agg['cells']} cells | {tallies}",
         f"throughput: {_humanize(agg['running_accesses_per_sec'])} acc/s"
         f" | accesses: {_humanize(agg['total_accesses'])}"
         f" | violations: {agg['violations']}",
-        "",
-    ]
-    if not cells:
-        lines.append("(waiting for the first heartbeat...)")
-        return "\n".join(lines)
-
-    label_w = min(max((len(str(c.get("label", ""))) for c in cells),
-                      default=4), max(width - 56, 12))
-    header = (f"{'cell':<{label_w}}  {'state':<8}  {'progress':<21}"
-              f"  {'epoch':>5}  {'rate':>8}  {'eta':>6}")
-    lines.append(header)
-    lines.append("-" * min(len(header), width))
-    for cell in cells:
-        label = str(cell.get("label", cell.get("key", "?")))[:label_w]
-        state = display_state(cell)
-        fraction = float(cell.get("progress") or 0.0)
-        if state in ("done", "cached"):
-            fraction = 1.0
-        pct = f"{fraction * 100:3.0f}%"
-        bar = progress_bar(fraction)
-        # A freshly (re)started cell reports a null rate/ETA until it has
-        # post-resume work to divide by; render both as unknown.  A
-        # stalled cell's last-known rate would be a lie -- also unknown.
-        live = cell.get("state") == "running" and not cell.get("stalled")
-        raw_rate = cell.get("accesses_per_sec")
-        rate = (_humanize(raw_rate) + "/s"
-                if live and raw_rate is not None else "-")
-        eta = _eta(cell.get("eta_s")) if live else "-"
-        lines.append(
-            f"{label:<{label_w}}  {state:<8}  {bar} {pct}"
-            f"  {int(cell.get('epoch') or 0):>5}  {rate:>8}  {eta:>6}"
-        )
-        error = cell.get("error")
-        if state == "failed" and error:
-            lines.append(f"{'':<{label_w}}  !! {str(error)[:width - label_w - 5]}")
-    return "\n".join(lines)
-
-
-#: Queue-state render order for the service header (live states first).
-_JOB_STATE_ORDER = ("queued", "running", "done", "cached", "failed")
-
-
-def render_service_dashboard(status: Dict[str, Any], width: int = 80) -> str:
-    """Dashboard for a ``repro.service`` directory (queue + workers + cells).
-
-    ``status`` is the dict from :func:`repro.service.server.build_status`:
-    two extra header lines (queue tallies with lease/attempt counters,
-    one entry per registered worker), then the ordinary heartbeat
-    dashboard over the service's cell heartbeats.
-    """
-    jobs = status.get("jobs", {})
-    totals = status.get("totals", {})
-    total_jobs = sum(jobs.values())
-    tallies = " ".join(
-        f"{jobs[state]} {state}"
-        for state in _JOB_STATE_ORDER if jobs.get(state)
-    ) or "empty queue"
-    lines = [
-        f"service: {total_jobs} jobs | {tallies}"
-        f" | claims {totals.get('claims', 0)}"
+        f"ledger: claims {totals.get('claims', 0)}"
         f" attempts {totals.get('attempts', 0)}"
         f" expirations {totals.get('expirations', 0)}"
         f" resumed {totals.get('resumed', 0)}",
@@ -149,7 +96,38 @@ def render_service_dashboard(status: Dict[str, Any], width: int = 80) -> str:
     else:
         lines.append("workers: none registered")
     lines.append("")
-    lines.append(render_dashboard(status.get("manifest", {}) or {},
-                                  status.get("heartbeats", []) or [],
-                                  width=width))
+    if not cells:
+        return "\n".join(lines)
+
+    label_w = min(max((len(str(c.get("label", ""))) for c in cells),
+                      default=4), max(width - 56, 12))
+    header = (f"{'cell':<{label_w}}  {'state':<8}  {'progress':<21}"
+              f"  {'epoch':>5}  {'rate':>8}  {'eta':>6}")
+    lines.append(header)
+    lines.append("-" * min(len(header), width))
+    for cell in cells:
+        label = str(cell.get("label", cell.get("key", "?")))[:label_w]
+        state = display_state(cell)
+        fraction = float(cell.get("progress") or 0.0)
+        if cell.get("state") in ("done", "cached"):
+            fraction = 1.0
+        pct = f"{fraction * 100:3.0f}%"
+        bar = progress_bar(fraction)
+        # A freshly (re)started cell reports a null rate/ETA until it has
+        # post-resume work to divide by; render both as unknown.  A
+        # stalled cell's last-known rate would be a lie -- also unknown.
+        live = state == "running"
+        raw_rate = cell.get("accesses_per_sec")
+        rate = (_humanize(raw_rate) + "/s"
+                if live and raw_rate is not None else "-")
+        eta = _eta(cell.get("eta_s")) if live else "-"
+        lines.append(
+            f"{label:<{label_w}}  {state:<8}  {bar} {pct}"
+            f"  {int(cell.get('epoch') or 0):>5}  {rate:>8}  {eta:>6}"
+        )
+        error = (cell.get("error") or "").strip().splitlines()
+        if state == "failed" and error:
+            lines.append(
+                f"{'':<{label_w}}  !! {error[-1][:width - label_w - 5]}"
+            )
     return "\n".join(lines)

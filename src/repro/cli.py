@@ -15,10 +15,11 @@ Commands:
                   ``--record``/``--replay`` of workload ``.npz`` streams
                   still work;
 * ``top``      -- live ASCII dashboard over a sweep's heartbeat
-                  directory (``run --heartbeat DIR``); ``--snapshot``
-                  prints one frame for CI logs, ``--openmetrics`` emits
-                  the exposition-format text instead; ``--stale-after``
-                  detects crashed sweeps (exit code 3);
+                  directory (``run --heartbeat DIR``) or a service
+                  directory; ``--snapshot`` prints one frame for CI
+                  logs, ``--openmetrics`` emits the exposition-format
+                  text instead; the live loop exits 0 once the queue
+                  drains and 3 when nothing holds a lease or beats;
 * ``service``  -- persistent sweep service: ``submit`` enqueues RunSpec
                   batches into a SQLite job queue, ``start`` runs
                   pull-based worker processes (plus an optional HTTP
@@ -127,8 +128,12 @@ def cmd_run(args) -> int:
     # with --jobs 2, and serves both from the persistent cache on
     # repeated invocations.
     specs = [spec] if args.no_baseline else [spec, spec.baseline_spec()]
-    outcomes = run_sweep(specs, jobs=args.jobs, trace=trace,
-                         heartbeat=heartbeat)
+    try:
+        outcomes = run_sweep(specs, jobs=args.jobs, trace=trace,
+                             heartbeat=heartbeat)
+    except ValueError as exc:  # e.g. a heartbeat DIR that holds a queue
+        print(f"run: {exc}", file=sys.stderr)
+        return 2
     raise_failures(outcomes)
     result = outcomes[spec].result
     rows = [
@@ -297,40 +302,39 @@ def cmd_trace(args) -> int:
 
 
 def cmd_top(args) -> int:
-    """Dashboard (or OpenMetrics text) over a heartbeat directory."""
+    """Dashboard (or OpenMetrics text) over a sweep or service directory."""
     import time as _time
 
     from repro.analysis.top import render_dashboard
-    from repro.obs.heartbeat import mark_stalled, read_heartbeats, sweep_stalled
-    from repro.obs.openmetrics import sweep_exposition
+    from repro.obs.openmetrics import status_exposition
+    from repro.service import build_status, queue_path
 
-    def read_marked():
-        manifest, cells = read_heartbeats(args.dir)
-        mark_stalled(cells, args.stale_after)
-        return manifest, cells
+    if not os.path.exists(queue_path(args.dir)):
+        print(f"top: no queue at {queue_path(args.dir)} (start a sweep "
+              "with `run --heartbeat DIR` or `service submit DIR`)",
+              file=sys.stderr)
+        return 2
 
-    def frame(manifest, cells) -> str:
+    def frame(status) -> str:
         if args.openmetrics:
-            return sweep_exposition(cells, manifest=manifest)
-        return render_dashboard(manifest, cells, width=args.width)
+            return status_exposition(status)  # ends "# EOF\n"
+        return render_dashboard(status, width=args.width) + "\n"
 
     try:
         if args.snapshot or args.openmetrics:
-            print(frame(*read_marked()))
+            sys.stdout.write(frame(build_status(args.dir)))
             return 0
         while True:
-            manifest, cells = read_marked()
+            status = build_status(args.dir)
             # ANSI clear + home: a cheap full-screen refresh.
-            sys.stdout.write("\x1b[2J\x1b[H" + frame(manifest, cells) + "\n")
+            sys.stdout.write("\x1b[2J\x1b[H" + frame(status))
             sys.stdout.flush()
-            if manifest.get("finished_at"):
+            if status["drained"]:
                 return 0
-            if sweep_stalled(manifest, cells, args.stale_after):
-                print(
-                    f"sweep stalled: no heartbeat in {args.stale_after:.0f}s "
-                    "and no finished_at stamp (crashed parent?)",
-                    file=sys.stderr,
-                )
+            if not status["live"]:
+                print("sweep stalled: live jobs remain but no lease is "
+                      "held and no worker has been seen recently",
+                      file=sys.stderr)
                 return 3
             _time.sleep(max(args.interval, 0.1))
     except KeyboardInterrupt:
@@ -374,12 +378,8 @@ def cmd_service(args) -> int:
     import json as _json
     import time as _time
 
-    from repro.service import (
-        JobQueue,
-        build_status,
-        queue_path,
-        write_service_manifest,
-    )
+    from repro.obs.heartbeat import HeartbeatConfig
+    from repro.service import JobQueue, build_status, queue_path
 
     if args.action == "submit":
         specs = _service_specs(args)
@@ -389,10 +389,6 @@ def cmd_service(args) -> int:
             return 2
         with JobQueue(queue_path(args.dir)) as queue:
             report = queue.enqueue(specs, max_attempts=args.max_attempts)
-            # A submit that only deduped/cache-hit leaves the queue
-            # drained -- keep the manifest stamped finished so `repro
-            # top` still exits on it.
-            write_service_manifest(queue, args.dir, finished=queue.drained())
             counts = queue.counts()
         print(f"submitted {report.total} specs to {args.dir}: "
               f"{report.queued} queued, {report.cached} cached, "
@@ -423,7 +419,8 @@ def cmd_service(args) -> int:
             ctx.Process(
                 target=worker_main, args=(args.dir,),
                 kwargs=dict(lease_s=args.lease, poll_s=args.poll,
-                            drain=args.drain),
+                            drain=args.drain,
+                            heartbeat=HeartbeatConfig(args.dir)),
                 daemon=False,
             )
             for _ in range(max(1, args.workers))
@@ -445,21 +442,19 @@ def cmd_service(args) -> int:
             if server is not None:
                 server.shutdown()
         with JobQueue(queue_path(args.dir)) as queue:
-            drained = queue.drained()
             counts = queue.counts()
-            write_service_manifest(queue, args.dir, finished=drained)
         print("queue: " + ", ".join(
             f"{n} {state}" for state, n in counts.items() if n))
         return 1 if counts.get("failed") else 0
 
     if args.action == "status":
-        status = build_status(args.dir, stale_after=args.stale_after)
+        status = build_status(args.dir)
         if args.json:
             print(_json.dumps(status, indent=2, sort_keys=True))
         else:
-            from repro.analysis.top import render_service_dashboard
+            from repro.analysis.top import render_dashboard
 
-            print(render_service_dashboard(status, width=args.width))
+            print(render_dashboard(status, width=args.width))
         return 1 if status["jobs"].get("failed") else 0
 
     if args.action == "drain":
@@ -469,7 +464,6 @@ def cmd_service(args) -> int:
             with JobQueue(queue_path(args.dir)) as queue:
                 if queue.drained():
                     counts = queue.counts()
-                    write_service_manifest(queue, args.dir, finished=True)
                     print("drained: " + ", ".join(
                         f"{n} {state}" for state, n in counts.items() if n))
                     return 1 if counts.get("failed") else 0
@@ -529,7 +523,8 @@ def main(argv=None) -> int:
                        help="checkpoint store location (default: "
                             "$REPRO_SNAPSHOT_DIR or <cache_dir>/snapshots)")
     p_run.add_argument("--heartbeat", metavar="DIR", default=None,
-                       help="stream per-cell status files into DIR "
+                       help="keep the sweep's queue and per-cell progress "
+                            "files in DIR, which must hold no queue yet "
                             "(watch live with `python -m repro top DIR`)")
     p_run.add_argument("--timeseries", type=int, default=0, metavar="N",
                        help="record a per-epoch metrics time series every "
@@ -601,9 +596,10 @@ def main(argv=None) -> int:
     p_trace.set_defaults(fn=cmd_trace)
 
     p_top = sub.add_parser(
-        "top", help="live dashboard over a sweep heartbeat directory"
+        "top", help="live dashboard over a sweep or service directory"
     )
-    p_top.add_argument("dir", help="heartbeat directory (run --heartbeat DIR)")
+    p_top.add_argument("dir", help="heartbeat directory (run --heartbeat DIR) "
+                                   "or service directory")
     p_top.add_argument("--snapshot", action="store_true",
                        help="print one frame and exit (CI logs)")
     p_top.add_argument("--openmetrics", action="store_true",
@@ -613,12 +609,6 @@ def main(argv=None) -> int:
                        help="refresh period in live mode (default: 2s)")
     p_top.add_argument("--width", type=int, default=80,
                        help="dashboard width in columns (default: 80)")
-    p_top.add_argument("--stale-after", type=float, default=300.0,
-                       metavar="S",
-                       help="mark cells with no heartbeat for S seconds as "
-                            "stalled; the live loop exits 3 once the whole "
-                            "sweep has gone quiet without finishing "
-                            "(default: 300; 0 disables)")
     p_top.set_defaults(fn=cmd_top)
 
     p_service = sub.add_parser(
@@ -682,10 +672,6 @@ def main(argv=None) -> int:
                           help="machine-readable dump instead of the "
                                "dashboard")
     p_status.add_argument("--width", type=int, default=80)
-    p_status.add_argument("--stale-after", type=float, default=300.0,
-                          metavar="S",
-                          help="mark quiet cells stalled (default: 300; "
-                               "0 disables)")
     p_status.set_defaults(fn=cmd_service)
 
     p_drain = svc.add_parser(

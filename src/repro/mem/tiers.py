@@ -198,31 +198,10 @@ class TieredMemory:
     cost accounting, neighbor addressing for promotion/demotion targets,
     and small helpers policies use to reason about headroom.
 
-    The legacy two-tier constructor form
-    ``TieredMemory(fast=<tier0>, capacity=<tier1>)`` still works; the
-    N-tier form takes the tier list: ``TieredMemory([t0, t1, t2])``.
+    Takes the tier list, fastest first: ``TieredMemory([t0, t1, t2])``.
     """
 
-    def __init__(
-        self,
-        tiers: Optional[Sequence[MemoryTier]] = None,
-        *,
-        fast: Optional[MemoryTier] = None,
-        capacity: Optional[MemoryTier] = None,
-    ):
-        if tiers is None:
-            if fast is None or capacity is None:
-                raise ValueError(
-                    "TieredMemory needs a tier list or fast=/capacity="
-                )
-            # Legacy two-tier form: positions are asserted, as before.
-            if int(fast.index) != FASTEST_TIER:
-                raise ValueError("fast tier must have index 0")
-            if int(capacity.index) != 1:
-                raise ValueError("capacity tier must have index 1")
-            tiers = (fast, capacity)
-        elif fast is not None or capacity is not None:
-            raise ValueError("pass either a tier list or fast=/capacity=, not both")
+    def __init__(self, tiers: Sequence[MemoryTier]):
         self.tiers: List[MemoryTier] = list(tiers)
         if not self.tiers:
             raise ValueError("a machine needs at least one tier")

@@ -1,32 +1,25 @@
-"""Sweep heartbeats: atomic per-cell JSON status files.
+"""Sweep heartbeats: one atomic progress file per executing cell.
 
-A sweep of hundreds of cells is a black box while the pool drains.
-This module gives every worker a tiny write-only status channel and the
-parent (or any external observer -- ``repro top``, a CI tail, an
-OpenMetrics scraper) a read-only aggregate view, with no coordination
-beyond a shared directory:
+A cell's lifecycle -- queued, running, done, failed, cached, attempts,
+its error, whether it resumed -- lives in exactly one place: its row in
+the sweep's :class:`~repro.service.queue.JobQueue`.  What the queue
+cannot know is how far a running simulation has got.  This module gives
+the worker executing a cell a write-only channel for that, with one
+writer per file:
 
-* each executing cell owns one file, ``<cache_key[:16]>.hb.json``,
-  rewritten atomically (``mkstemp`` + ``os.replace``) so readers never
-  observe a torn JSON document;
-* the parent writes a ``sweep.json`` manifest listing every cell up
-  front, so the dashboard knows the denominator before workers have
-  said anything, and stamps terminal states (``cached``, retry
-  bookkeeping) the workers cannot know about;
+* each executing cell owns ``<cache_key[:16]>.hb.json`` next to the
+  queue's ``queue.db``, rewritten atomically
+  (:func:`repro.atomic.atomic_write`) so readers never observe a torn
+  JSON document;
 * :class:`HeartbeatWriter` hooks the engine's ``epoch_hook`` -- it is a
   pure observer (reads counters, writes files) and never mutates
-  simulation state, so heartbeat-enabled runs stay bit-identical.
+  simulation state, so heartbeat-enabled runs stay bit-identical;
+* :func:`read_progress` is the torn-file-tolerant reader that
+  :func:`repro.service.queue.build_status` joins with the queue rows.
 
-Cell status schema (all fields JSON scalars)::
+Progress file schema (all fields JSON scalars)::
 
-    {"schema": 1, "key": "0f3a...", "label": "silo memtis 1:8",
-     "workload": "silo", "policy": "memtis", "seed": 42, "pid": 1234,
-     "state": "running",          # running|done|failed|cached|retrying
-     "seq": 18,                   # monotonic write counter for this cell
-                                  # (continues across attempts; guards the
-                                  # parent's read-merge-write stamps)
-     "resumed": false,            # true when this attempt restored a
-                                  # checkpoint (rates are post-resume)
+    {"schema": 2, "pid": 1234,
      "epoch": 17, "accesses": 8500000, "target_accesses": 20000000,
      "progress": 0.425,
      "accesses_per_sec": 1.2e6,       # null until post-resume work exists
@@ -34,9 +27,7 @@ Cell status schema (all fields JSON scalars)::
      "wall_s": 7.1,               # this attempt's wall so far
      "last_checkpoint_epoch": 16, # null until one is taken
      "violations": 0,             # sanitizer findings so far
-     "faults": {"dropped_samples": 0, ...},  # injector stats, if any
-     "started_at": 1754650000.0, "updated_at": 1754650007.1,
-     "error": "..."}              # failed cells: last traceback line
+     "faults": {"dropped_samples": 0, ...}}  # injector stats, if any
 
 Rates and ETA are computed over *this attempt's* work only: a resumed
 cell divides post-resume accesses by post-resume wall, so a cell that
@@ -48,19 +39,17 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
-#: Bump when the status file layout changes.
-SCHEMA = 1
+from repro.atomic import atomic_write
+
+#: Bump when the progress file layout changes.
+#: v2: progress only; lifecycle fields moved to the queue row.
+SCHEMA = 2
 
 HEARTBEAT_SUFFIX = ".hb.json"
-MANIFEST_NAME = "sweep.json"
-
-#: Cell states that will never change again on their own.
-TERMINAL_STATES = ("done", "failed", "cached")
 
 
 @dataclass
@@ -70,120 +59,30 @@ class HeartbeatStats:
     errors: int = 0
 
 
-#: Process-wide error counter for the heartbeat write paths: serialization
+#: Process-wide error counter for the progress write path: serialization
 #: failures and failed commits both land here (the temp file is always
 #: cleaned up regardless).
 STATS = HeartbeatStats()
 
 
-def _dump_to_temp(directory: str, payload: Dict[str, Any]) -> str:
-    """Serialise ``payload`` into a temp file in ``directory``.
-
-    Returns the temp path on success.  On any failure the fd is closed
-    and the temp file unlinked in a ``finally`` (a raising ``json.dump``
-    must not leak ``.tmp`` litter into a long-lived heartbeat
-    directory), and the error is counted in :data:`STATS`.
-    """
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    fh = None
-    ok = False
-    try:
-        fh = os.fdopen(fd, "w")
-        json.dump(payload, fh)
-        fh.close()
-        ok = True
-        return tmp
-    finally:
-        if fh is None:
-            os.close(fd)  # os.fdopen itself failed: the fd is still ours
-        elif not fh.closed:
-            fh.close()
-        if not ok:
-            STATS.errors += 1
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-
 def _write_atomic(path: str, payload: Dict[str, Any]) -> None:
     """Write ``payload`` as JSON such that readers never see a torn file."""
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    tmp = _dump_to_temp(directory, payload)
     try:
-        os.replace(tmp, path)
+        with atomic_write(path, "w") as fh:
+            json.dump(payload, fh)
     except BaseException:
         STATS.errors += 1
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
         raise
-
-
-def _stat_token(path: str) -> Optional[Tuple[int, int]]:
-    """Identity token for the file currently at ``path`` (None if absent)."""
-    try:
-        st = os.stat(path)
-    except OSError:
-        return None
-    return (st.st_ino, st.st_mtime_ns)
-
-
-def _read_status(path: str) -> Tuple[Dict[str, Any], Optional[Tuple[int, int]]]:
-    """Read ``(payload, token)``; ``({}, None)`` on a missing/torn file.
-
-    The token identifies the exact file version the payload came from
-    (inode + mtime), so a later compare-and-replace can detect that a
-    concurrent writer's ``os.replace`` landed in between.
-    """
-    try:
-        with open(path) as fh:
-            st = os.fstat(fh.fileno())
-            payload = json.load(fh)
-    except (OSError, ValueError):
-        return {}, None
-    if not isinstance(payload, dict):
-        return {}, None
-    return payload, (st.st_ino, st.st_mtime_ns)
-
-
-def _replace_if_unchanged(
-    path: str, payload: Dict[str, Any], token: Optional[Tuple[int, int]]
-) -> bool:
-    """Atomically commit ``payload`` only if ``path`` still matches ``token``.
-
-    Returns False (leaving the file untouched, temp cleaned up) when the
-    file changed since it was read -- the caller re-reads and re-merges.
-    The check-then-replace window is a few microseconds, versus the full
-    read-merge-write span it replaces.
-    """
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    tmp = _dump_to_temp(directory, payload)
-    try:
-        if _stat_token(path) != token:
-            return False
-        os.replace(tmp, path)
-        tmp = None
-        return True
-    finally:
-        if tmp is not None:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
 
 
 @dataclass(frozen=True)
 class HeartbeatConfig:
     """Picklable heartbeat request for :func:`repro.sim.sweep.run_sweep`.
 
-    ``directory`` receives one status file per cell plus the sweep
-    manifest; ``min_interval_s`` throttles how often a running worker
-    rewrites its file (epoch closes arrive far faster than any human or
-    scraper reads).
+    ``directory`` holds the sweep's queue (``queue.db``) and one
+    progress file per executed cell; ``min_interval_s`` throttles how
+    often a running worker rewrites its file (epoch closes arrive far
+    faster than any human or scraper reads).
     """
 
     directory: str
@@ -194,59 +93,35 @@ class HeartbeatConfig:
             self.directory, f"{spec.cache_key()[:16]}{HEARTBEAT_SUFFIX}"
         )
 
-    def manifest_path(self) -> str:
-        return os.path.join(self.directory, MANIFEST_NAME)
-
 
 class HeartbeatWriter:
-    """One executing cell's status channel (worker side).
+    """One executing cell's progress channel (worker side).
 
-    Wire :meth:`on_epoch` as the simulation's ``epoch_hook``; call
-    :meth:`start` before running and :meth:`finish` after.  Purely
-    observational: reads engine/sanitizer/fault state, writes files.
+    Wire :meth:`on_epoch` as the simulation's ``epoch_hook`` and call
+    :meth:`flush` once the run ends (either way), so the file holds the
+    final epoch.  Purely observational: reads engine/sanitizer/fault
+    state, writes files.
     """
 
-    def __init__(self, config: HeartbeatConfig, spec, resumed: bool = False):
+    def __init__(self, config: HeartbeatConfig, spec):
         self.config = config
-        self.spec = spec
-        self.resumed = bool(resumed)
         self.path = config.cell_path(spec)
         self.started_at = time.time()
         self._last_write = 0.0
-        self._last_status: Dict[str, Any] = {}
-        # Continue the cell's monotonic write counter across attempts: a
-        # resumed retry must not restart at 0 or the parent's seq guard
-        # would judge its fresh payloads older than the dead attempt's.
-        payload, _ = _read_status(self.path)
-        self._seq = int(payload.get("seq") or 0)
+        self._sim = None
 
-    def _base(self) -> Dict[str, Any]:
-        return {
-            "schema": SCHEMA,
-            "key": self.spec.cache_key()[:16],
-            "label": self.spec.label(),
-            "workload": self.spec.workload,
-            "policy": self.spec.policy,
-            "seed": self.spec.seed,
-            "pid": os.getpid(),
-            "resumed": self.resumed,
-            "started_at": self.started_at,
-        }
-
-    def status(self, sim, state: str, now: Optional[float] = None
-               ) -> Dict[str, Any]:
-        """Build the full status payload from a live simulation."""
+    def status(self, sim, now: Optional[float] = None) -> Dict[str, Any]:
+        """Build the progress payload from a live simulation."""
         now = time.time() if now is None else now
         elapsed = now - self.started_at
         wall = max(elapsed, 1e-9)
         accesses = int(sim.metrics.total_accesses)
-        resume_accesses = int(getattr(sim, "_resume_accesses", 0))
-        budget = getattr(sim, "_access_budget", None)
+        budget = sim._access_budget
         target = float(sim.workload.total_accesses)
         if budget is not None and budget != float("inf"):
             target = min(target, float(budget))
         done_frac = min(accesses / target, 1.0) if target > 0 else 0.0
-        progressed = accesses - resume_accesses
+        progressed = accesses - int(sim._resume_accesses)
         remaining = max(target - accesses, 0.0)
         # A just-(re)started cell has done no post-resume work yet: with
         # ~0 elapsed or 0 progressed accesses any rate is either a
@@ -260,231 +135,84 @@ class HeartbeatWriter:
             rate = progressed / wall
             eta_s = remaining / rate if rate > 0 else None
         findings = sim.obs.counters.get("check/findings")
-        payload = dict(
-            self._base(),
-            state=state,
-            resumed=self.resumed or bool(getattr(sim, "_resumed", False)),
-            epoch=int(sim._epoch_index),
-            accesses=accesses,
-            target_accesses=int(target),
-            progress=done_frac,
-            accesses_per_sec=rate,
-            eta_s=eta_s,
-            wall_s=wall,
-            last_checkpoint_epoch=getattr(sim, "_last_checkpoint_epoch", None),
-            violations=int(findings.value) if findings is not None else 0,
-            faults=dict(sim.faults.stats) if sim.faults is not None else None,
-            updated_at=now,
-        )
-        self._last_status = payload
-        return payload
+        return {
+            "schema": SCHEMA,
+            "pid": os.getpid(),
+            "epoch": int(sim._epoch_index),
+            "accesses": accesses,
+            "target_accesses": int(target),
+            "progress": done_frac,
+            "accesses_per_sec": rate,
+            "eta_s": eta_s,
+            "wall_s": wall,
+            "last_checkpoint_epoch": sim._last_checkpoint_epoch,
+            "violations": int(findings.value) if findings is not None else 0,
+            "faults": dict(sim.faults.stats) if sim.faults is not None
+            else None,
+        }
 
     def write(self, payload: Dict[str, Any]) -> None:
-        self._seq += 1
-        payload["seq"] = self._seq
         _write_atomic(self.path, payload)
         self._last_write = time.time()
 
-    def start(self, sim=None) -> None:
-        """Announce the cell as running before the first epoch closes."""
-        if sim is not None:
-            self.write(self.status(sim, "running"))
-        else:
-            self.write(dict(self._base(), state="running",
-                            updated_at=self.started_at))
-
     def on_epoch(self, sim) -> None:
-        """Engine ``epoch_hook``: refresh status, throttled by interval."""
+        """Engine ``epoch_hook``: refresh progress, throttled by interval."""
+        self._sim = sim
         now = time.time()
-        payload = self.status(sim, "running", now=now)
         if now - self._last_write >= self.config.min_interval_s:
-            self.write(payload)
+            self.write(self.status(sim, now=now))
 
-    def finish(self, state: str, error: Optional[str] = None) -> None:
-        """Terminal write (``done``/``failed``), never throttled."""
-        payload = dict(self._last_status or self._base())
-        payload["state"] = state
-        payload["updated_at"] = time.time()
-        if error is not None:
-            lines = error.strip().splitlines()
-            payload["error"] = lines[-1] if lines else error
-        self.write(payload)
+    def flush(self) -> None:
+        """Unthrottled final write (no-op before the first epoch)."""
+        if self._sim is not None:
+            self.write(self.status(self._sim))
 
 
-# -- parent / reader side ------------------------------------------------------
-
-
-#: How many times a parent stamp re-merges against a racing worker
-#: before falling back to last-writer-wins on the freshest payload seen.
-_MERGE_RETRIES = 5
-
-
-def write_cell_status(config: HeartbeatConfig, spec, state: str,
-                      **fields) -> None:
-    """Parent-side status stamp: merge ``state`` + ``fields`` into the file.
-
-    Used for states only the sweep driver knows about (``cached``,
-    ``retrying``, final attempt counts).  Existing worker-written fields
-    are preserved.
-
-    The merge is guarded against the worker's atomic ``os.replace``:
-    every payload carries a monotonic ``seq``, the file version read is
-    fingerprinted (inode + mtime), and the commit goes through
-    :func:`_replace_if_unchanged` -- if a fresher worker write landed
-    between read and commit, the stale merge is discarded and rebuilt
-    from the new payload, so a parent stamp can never resurrect an old
-    epoch/progress/rate snapshot over a newer one.
-    """
-    path = config.cell_path(spec)
-    merged: Dict[str, Any] = {}
-    for _ in range(_MERGE_RETRIES):
-        payload, token = _read_status(path)
-        if not payload:
-            payload = {
-                "schema": SCHEMA,
-                "key": spec.cache_key()[:16],
-                "label": spec.label(),
-                "workload": spec.workload,
-                "policy": spec.policy,
-                "seed": spec.seed,
-                "started_at": time.time(),
-            }
-        merged = dict(payload)
-        merged["state"] = state
-        merged["updated_at"] = time.time()
-        merged.update(fields)
-        merged["seq"] = int(payload.get("seq") or 0) + 1
-        if _replace_if_unchanged(path, merged, token):
-            return
-    # A live worker out-wrote every retry; each loop re-read its fresher
-    # payload, so this final merge carries the newest state observed.
-    _write_atomic(path, merged)
-
-
-def write_manifest(config: HeartbeatConfig, specs,
-                   started_at: Optional[float] = None,
-                   finished_at: Optional[float] = None) -> None:
-    """Write the sweep manifest: the dashboard's denominator."""
-    _write_atomic(config.manifest_path(), {
-        "schema": SCHEMA,
-        "cells": [
-            {"key": spec.cache_key()[:16], "label": spec.label()}
-            for spec in specs
-        ],
-        "started_at": started_at,
-        "finished_at": finished_at,
-    })
-
-
-def read_heartbeats(directory: str
-                    ) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
-    """Read ``(manifest, cells)`` from a heartbeat directory.
+def read_progress(directory: str) -> Dict[str, Dict[str, Any]]:
+    """``{key[:16]: payload}`` for every progress file in ``directory``.
 
     Unreadable or torn files are skipped (a writer may be mid-replace on
-    a filesystem without atomic rename semantics); cells come back
-    sorted by label for stable rendering.
+    a filesystem without atomic rename semantics).
     """
-    manifest: Dict[str, Any] = {}
-    cells: List[Dict[str, Any]] = []
+    progress: Dict[str, Dict[str, Any]] = {}
     try:
-        names = sorted(os.listdir(directory))
+        names = os.listdir(directory)
     except OSError:
-        return manifest, cells
+        return progress
     for name in names:
-        path = os.path.join(directory, name)
-        if name == MANIFEST_NAME:
-            try:
-                with open(path) as fh:
-                    manifest = json.load(fh)
-            except (OSError, ValueError):
-                pass
-        elif name.endswith(HEARTBEAT_SUFFIX):
-            try:
-                with open(path) as fh:
-                    cells.append(json.load(fh))
-            except (OSError, ValueError):
-                continue
-    cells.sort(key=lambda c: (str(c.get("label", "")), str(c.get("key", ""))))
-    return manifest, cells
+        if not name.endswith(HEARTBEAT_SUFFIX):
+            continue
+        try:
+            with open(os.path.join(directory, name)) as fh:
+                payload = json.load(fh)
+        except (OSError, ValueError):
+            continue
+        if isinstance(payload, dict):
+            progress[name[:-len(HEARTBEAT_SUFFIX)]] = payload
+    return progress
 
 
 def display_state(cell: Dict[str, Any]) -> str:
-    """Dashboard state for one cell: terminal states win, then stall,
-    then resume."""
+    """Dashboard state for one joined cell: a running row whose lease
+    expired is ``stalled``, a completed continuation is ``resumed``."""
     state = str(cell.get("state", "unknown"))
-    if state in ("failed", "cached"):
-        return state
-    if cell.get("stalled") and state not in TERMINAL_STATES:
+    if cell.get("stalled"):
         return "stalled"
-    if cell.get("resumed"):
+    if state == "done" and cell.get("resumed"):
         return "resumed"
     return state
 
 
-def mark_stalled(cells: List[Dict[str, Any]], stale_after: float,
-                 now: Optional[float] = None) -> int:
-    """Flag non-terminal cells whose heartbeat went quiet; returns count.
-
-    A cell claiming ``running``/``retrying`` whose file has not been
-    rewritten in ``stale_after`` seconds almost certainly belongs to a
-    dead worker (live ones rewrite at least every throttle interval) --
-    ``display_state`` renders it ``stalled`` instead of trusting the
-    stale claim.  ``stale_after <= 0`` disables the detector.  Mutates
-    the cell dicts in place.
-    """
-    if stale_after <= 0:
-        return 0
-    now = time.time() if now is None else now
-    stalled = 0
-    for cell in cells:
-        if str(cell.get("state", "unknown")) in TERMINAL_STATES:
-            continue
-        updated = cell.get("updated_at") or cell.get("started_at")
-        if updated is not None and (now - float(updated)) > stale_after:
-            cell["stalled"] = True
-            stalled += 1
-    return stalled
-
-
-def sweep_stalled(manifest: Dict[str, Any], cells: List[Dict[str, Any]],
-                  stale_after: float, now: Optional[float] = None) -> bool:
-    """True when the sweep can no longer make progress (crashed parent).
-
-    Call :func:`mark_stalled` on ``cells`` first.  The sweep counts as
-    stalled when the manifest never gained ``finished_at``, no
-    non-terminal cell is still live, and the newest write anywhere in
-    the directory is older than ``stale_after`` -- i.e. everything has
-    gone quiet without the parent's final stamp.  ``repro top`` uses
-    this to exit non-zero instead of polling a dead sweep forever.
-    """
-    if stale_after <= 0:
-        return False
-    now = time.time() if now is None else now
-    if manifest.get("finished_at"):
-        return False
-    for cell in cells:
-        state = str(cell.get("state", "unknown"))
-        if state not in TERMINAL_STATES and not cell.get("stalled"):
-            return False  # something is (plausibly) still working
-    newest = max(
-        (float(c.get("updated_at") or c.get("started_at") or 0.0)
-         for c in cells),
-        default=float(manifest.get("started_at") or 0.0),
-    )
-    if newest <= 0.0:
-        return False  # nothing to judge staleness from yet
-    return (now - newest) > stale_after
-
-
-def aggregate(cells: List[Dict[str, Any]]) -> Dict[str, Any]:
+def aggregate(cells) -> Dict[str, Any]:
     """Sweep-level tallies for the dashboard header / exporter."""
     states: Dict[str, int] = {}
     throughput = 0.0
     accesses = 0
     violations = 0
     for cell in cells:
-        states[display_state(cell)] = states.get(display_state(cell), 0) + 1
-        if cell.get("state") == "running" and not cell.get("stalled"):
+        state = display_state(cell)
+        states[state] = states.get(state, 0) + 1
+        if state == "running":
             throughput += float(cell.get("accesses_per_sec") or 0.0)
         accesses += int(cell.get("accesses") or 0)
         violations += int(cell.get("violations") or 0)

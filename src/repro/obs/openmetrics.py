@@ -1,7 +1,7 @@
 """OpenMetrics text exposition over heartbeats and counter registries.
 
 External scrapers (Prometheus, a CI log grepper) should not need to
-parse our heartbeat JSON.  This module renders the same status in the
+parse our status JSON.  This module renders the same status in the
 OpenMetrics text exposition format
 (https://prometheus.io/docs/specs/om/open_metrics_spec/):
 
@@ -10,8 +10,9 @@ OpenMetrics text exposition format
 * label values escape ``\\``, ``"`` and newlines;
 * the exposition ends with the mandatory ``# EOF`` line.
 
-Two entry points: :func:`sweep_exposition` renders a live sweep's
-heartbeat cells (what ``repro top --openmetrics`` serves), and
+Two entry points: :func:`status_exposition` renders a sweep or service
+directory's :func:`~repro.service.queue.build_status` (what ``repro top
+--openmetrics`` prints and ``/metrics`` serves), and
 :func:`counters_exposition` renders one run's
 :class:`~repro.obs.counters.CounterRegistry` (distributions expand to
 ``_count``/``_sum``/``_min``/``_max``/``_mean`` gauges).
@@ -80,62 +81,12 @@ class _Family:
         )
 
 
-def _sweep_families(out: List[str], cells: List[Dict[str, Any]],
-                    manifest: Optional[Dict[str, Any]] = None) -> None:
-    """Append the per-sweep/per-cell families (no ``# EOF``)."""
-    agg = aggregate(cells)
-    total = len((manifest or {}).get("cells", [])) or agg["cells"]
-
-    fam = _Family("repro_sweep_cells", "gauge", out)
-    fam.sample(total, {"state": "all"})
-    for state in sorted(agg["states"]):
-        fam.sample(agg["states"][state], {"state": state})
-    _Family("repro_sweep_accesses_per_second", "gauge", out).sample(
-        agg["running_accesses_per_sec"]
-    )
-    _Family("repro_sweep_violations", "gauge", out).sample(agg["violations"])
-
-    def cell_labels(cell: Dict[str, Any]) -> Dict[str, Any]:
-        return {
-            "cell": cell.get("key", ""),
-            "workload": cell.get("workload", ""),
-            "policy": cell.get("policy", ""),
-            "state": display_state(cell),
-        }
-
-    progress = _Family("repro_cell_progress_ratio", "gauge", out)
-    for cell in cells:
-        progress.sample(float(cell.get("progress") or 0.0), cell_labels(cell))
-    epoch = _Family("repro_cell_epoch", "gauge", out)
-    for cell in cells:
-        epoch.sample(int(cell.get("epoch") or 0), cell_labels(cell))
-    accesses = _Family("repro_cell_accesses", "counter", out)
-    for cell in cells:
-        accesses.sample(int(cell.get("accesses") or 0), cell_labels(cell))
-    rate = _Family("repro_cell_accesses_per_second", "gauge", out)
-    for cell in cells:
-        rate.sample(float(cell.get("accesses_per_sec") or 0.0),
-                    cell_labels(cell))
-    resumed = _Family("repro_cell_resumed", "gauge", out)
-    for cell in cells:
-        resumed.sample(1 if cell.get("resumed") else 0, cell_labels(cell))
-
-
-def sweep_exposition(cells: List[Dict[str, Any]],
-                     manifest: Optional[Dict[str, Any]] = None) -> str:
-    """Render heartbeat cells as an OpenMetrics exposition document."""
-    out: List[str] = []
-    _sweep_families(out, cells, manifest)
-    out.append("# EOF")
-    return "\n".join(out) + "\n"
-
-
-def service_exposition(status: Dict[str, Any]) -> str:
-    """Render a service ``build_status`` snapshot as OpenMetrics text.
+def status_exposition(status: Dict[str, Any]) -> str:
+    """Render a ``build_status`` dict as OpenMetrics text.
 
     Queue and worker families first (job states, lease/attempt/expiry
-    counters), then the same per-cell heartbeat families a plain sweep
-    exposes -- one scrape covers both layers.
+    counters), then the sweep tallies and per-cell progress families --
+    one scrape covers a local sweep and a service alike.
     """
     out: List[str] = []
     jobs = _Family("repro_service_jobs", "gauge", out)
@@ -161,8 +112,38 @@ def service_exposition(status: Dict[str, Any]) -> str:
         totals.get("resumed", 0))
     _Family("repro_service_drained", "gauge", out).sample(
         1 if status.get("drained") else 0)
-    _sweep_families(out, status.get("heartbeats", []),
-                    manifest=status.get("manifest"))
+
+    cells = status.get("cells", [])
+    agg = aggregate(cells)
+    fam = _Family("repro_sweep_cells", "gauge", out)
+    fam.sample(agg["cells"], {"state": "all"})
+    for state in sorted(agg["states"]):
+        fam.sample(agg["states"][state], {"state": state})
+    _Family("repro_sweep_accesses_per_second", "gauge", out).sample(
+        agg["running_accesses_per_sec"]
+    )
+    _Family("repro_sweep_violations", "gauge", out).sample(agg["violations"])
+
+    def cell_labels(cell: Dict[str, Any]) -> Dict[str, Any]:
+        spec = cell.get("spec", {})
+        return {
+            "cell": str(cell.get("key", ""))[:16],
+            "workload": spec.get("workload", ""),
+            "policy": spec.get("policy", ""),
+            "state": display_state(cell),
+        }
+
+    families = (
+        ("repro_cell_progress_ratio", "gauge", "progress"),
+        ("repro_cell_epoch", "gauge", "epoch"),
+        ("repro_cell_accesses", "counter", "accesses"),
+        ("repro_cell_accesses_per_second", "gauge", "accesses_per_sec"),
+        ("repro_cell_resumed", "gauge", "resumed"),
+    )
+    for name, kind, field in families:
+        family = _Family(name, kind, out)
+        for cell in cells:
+            family.sample(float(cell.get(field) or 0), cell_labels(cell))
     out.append("# EOF")
     return "\n".join(out) + "\n"
 

@@ -1,7 +1,8 @@
 """``repro.service``: the job queue behind every sweep, and its service.
 
 Every sweep runs on this package.  :func:`~repro.sim.sweep.run_sweep`
-drains a private, temporary queue; the service keeps one in a
+drains a private queue (in a temporary directory, or in its heartbeat
+directory so ``repro top`` can read it); the service keeps one in a
 persistent directory, so grids of thousands of cells survive restarts
 and any number of workers can join:
 
@@ -16,15 +17,17 @@ and any number of workers can join:
   *before* the queue transition (the cache write is the commit point,
   so effective results are exactly-once).
 * :mod:`repro.service.server` -- a stdlib ``http.server`` status API:
-  queue/worker/cell state as JSON (``/status``), OpenMetrics
+  :func:`~repro.service.queue.build_status` (queue rows joined with the
+  workers' progress files) as JSON (``/status``), OpenMetrics
   (``/metrics``), and HTML/ASCII dashboards (``/``, ``/ascii``) built on
-  :mod:`repro.analysis.top`.
+  :mod:`repro.analysis.top` -- the same frame ``repro top`` prints.
 
 CLI: ``python -m repro service submit|start|status|drain DIR``.
 """
 
 from repro.service.queue import (
     CACHED,
+    DEFAULT_LEASE_S,
     DONE,
     FAILED,
     QUEUED,
@@ -32,12 +35,10 @@ from repro.service.queue import (
     EnqueueReport,
     Job,
     JobQueue,
-    heartbeat_dir,
+    build_status,
     queue_path,
-    write_service_manifest,
 )
 from repro.service.worker import (
-    DEFAULT_LEASE_S,
     LeaseLost,
     Worker,
     WorkerStats,
@@ -54,8 +55,6 @@ __all__ = [
     "FAILED",
     "CACHED",
     "queue_path",
-    "heartbeat_dir",
-    "write_service_manifest",
     "Worker",
     "WorkerStats",
     "worker_main",
@@ -69,7 +68,7 @@ __all__ = [
 def __getattr__(name):
     # The status API (http.server, ssl, email) loads on first use: every
     # local sweep imports this package, few of them serve status pages.
-    if name in ("build_status", "start_server"):
+    if name == "start_server":
         from repro.service import server
 
         return getattr(server, name)

@@ -37,8 +37,8 @@ mid-epoch                 lease expires; reclaim resumes from the last
                           reruns from scratch -- deterministic either way
 after ``cache.put``,      lease expires; the reclaiming worker finds the
 before ``complete``       finished result in the cache and completes the
-                          job without recomputing (``resumed`` accounting
-                          still records the continuation)
+                          job without recomputing (a checkpointing
+                          cell's row still records ``resumed``)
 after ``complete``        nothing to do -- the job is terminal
 ========================  =============================================
 
@@ -60,12 +60,17 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.obs.heartbeat import HeartbeatConfig, write_cell_status, write_manifest
+from repro.obs.heartbeat import read_progress
 from repro.sim import cache as result_cache
 from repro.sim.runner import RunSpec
 
 QUEUE_DB = "queue.db"
-HEARTBEAT_SUBDIR = "hb"
+
+#: Default claim lease.  Far above any epoch duration at test scales, so
+#: live workers renew long before expiry; small enough that a killed
+#: worker's job re-queues promptly.  Also the window in which a worker's
+#: ``last_seen`` counts as live evidence for :meth:`JobQueue.live`.
+DEFAULT_LEASE_S = 30.0
 
 #: Job states. ``queued`` and ``running`` are live; the rest terminal.
 QUEUED = "queued"
@@ -114,11 +119,6 @@ def queue_path(directory: str) -> str:
     return os.path.join(os.fspath(directory), QUEUE_DB)
 
 
-def heartbeat_dir(directory: str) -> str:
-    """Where service workers stream per-cell heartbeats (``repro top``)."""
-    return os.path.join(os.fspath(directory), HEARTBEAT_SUBDIR)
-
-
 @dataclass
 class Job:
     """One queue row, decoded."""
@@ -145,7 +145,7 @@ class Job:
 
     def to_dict(self) -> Dict[str, Any]:
         data = dataclasses.asdict(self)
-        del data["spec_json"]
+        data["spec"] = json.loads(data.pop("spec_json"))
         return data
 
 
@@ -309,13 +309,21 @@ class JobQueue:
 
     def renew(self, key: str, worker_id: str, lease_s: float,
               now: Optional[float] = None) -> bool:
-        """Extend a held lease; False means the lease was lost (abandon)."""
+        """Extend a held lease; False means the lease was lost (abandon).
+
+        A renewal is also the worker's sign of life, so a long cell keeps
+        its ``last_seen`` fresh for :meth:`live`.
+        """
         now = time.time() if now is None else now
         with self._db:
             cur = self._db.execute(
                 "UPDATE jobs SET lease_expires_at = ? WHERE key = ?"
                 " AND state = ? AND lease_owner = ?",
                 (now + float(lease_s), key, RUNNING, worker_id),
+            )
+            self._db.execute(
+                "UPDATE workers SET last_seen = ? WHERE worker_id = ?",
+                (now, worker_id),
             )
             return cur.rowcount > 0
 
@@ -446,42 +454,58 @@ class JobQueue:
         ).fetchone()
         return row["n"] == 0
 
+    def live(self, now: Optional[float] = None) -> bool:
+        """True while there is evidence that live jobs can still move:
+        an unexpired lease, or a worker that has not stopped and was
+        seen within :data:`DEFAULT_LEASE_S`."""
+        now = time.time() if now is None else now
+        row = self._db.execute(
+            "SELECT EXISTS (SELECT 1 FROM jobs WHERE state = ?"
+            " AND lease_expires_at >= ?) OR EXISTS (SELECT 1 FROM workers"
+            " WHERE state != 'stopped' AND last_seen >= ?) AS live",
+            (RUNNING, now, now - DEFAULT_LEASE_S),
+        ).fetchone()
+        return bool(row["live"])
+
     def snapshot(self, now: Optional[float] = None) -> Dict[str, Any]:
         """Full queue/worker state for the status API (JSON-safe)."""
         now = time.time() if now is None else now
         return {
-            "schema": 1,
+            "schema": 2,
             "path": self.path,
             "now": now,
             "jobs": self.counts(),
             "totals": self.totals(),
             "drained": self.drained(),
+            "live": self.live(now),
             "workers": self.workers(),
             "cells": [job.to_dict() for job in self.jobs()],
         }
 
 
-def write_service_manifest(queue: JobQueue, directory: str,
-                           finished: bool = False,
-                           started_at: Optional[float] = None) -> None:
-    """Mirror the queue into the heartbeat manifest ``repro top`` reads.
+def build_status(directory: str,
+                 now: Optional[float] = None) -> Dict[str, Any]:
+    """One coherent JSON-safe view of a sweep or service directory.
 
-    The service has no sweep "parent", so the queue itself provides the
-    dashboard's denominator.  ``finished`` stamps ``finished_at`` once
-    the queue drains, which also lets a live ``repro top`` exit cleanly.
-    Enqueue-time cache hits get their terminal ``cached`` stamp here
-    (no worker will ever heartbeat for them).
+    Each queue row is joined by key with the progress file its worker
+    writes next to ``queue.db``: lifecycle fields come from the row,
+    progress fields from the file, and the row wins where both name a
+    field (``wall_s``: the completed attempt's).  A ``running`` row
+    whose lease has expired is marked ``stalled``.  ``repro top``,
+    ``repro service status`` and the HTTP API all render this one dict.
     """
-    config = HeartbeatConfig(directory=heartbeat_dir(directory))
-    jobs = queue.jobs()
-    specs = [job.spec() for job in jobs]
-    write_manifest(config, specs, started_at=started_at,
-                   finished_at=time.time() if finished else None)
-    for job, spec in zip(jobs, specs):
-        if job.state == CACHED:
-            path = config.cell_path(spec)
-            if not os.path.exists(path):
-                write_cell_status(config, spec, CACHED, progress=1.0)
+    now = time.time() if now is None else now
+    with JobQueue(queue_path(directory)) as queue:
+        status = queue.snapshot(now)
+    progress = read_progress(directory)
+    status["directory"] = os.fspath(directory)
+    status["cells"] = [
+        dict(progress.get(cell["key"][:16], {}), **cell,
+             stalled=cell["state"] == RUNNING
+             and (cell["lease_expires_at"] or 0.0) < now)
+        for cell in status["cells"]
+    ]
+    return status
 
 
 def new_worker_id() -> str:

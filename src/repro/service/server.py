@@ -8,7 +8,7 @@ never share a connection).
 Routes::
 
     /healthz   -> "ok" (liveness probe)
-    /status    -> queue + worker + heartbeat-cell state as JSON
+    /status    -> build_status(): queue rows joined with progress files
     /metrics   -> OpenMetrics exposition (repro.obs.openmetrics)
     /ascii     -> the repro.analysis.top dashboard as text/plain
     /          -> the same dashboard wrapped in auto-refreshing HTML
@@ -20,25 +20,9 @@ import html
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Tuple
 
-from repro.obs.heartbeat import mark_stalled, read_heartbeats
-from repro.service.queue import JobQueue, heartbeat_dir, queue_path
-
-
-def build_status(directory: str,
-                 stale_after: float = 0.0) -> Dict[str, Any]:
-    """One coherent JSON-safe snapshot of queue, workers and heartbeats."""
-    with JobQueue(queue_path(directory)) as queue:
-        status = queue.snapshot()
-    manifest, hb_cells = read_heartbeats(heartbeat_dir(directory))
-    if stale_after > 0:
-        mark_stalled(hb_cells, stale_after)
-    status["directory"] = directory
-    status["manifest"] = manifest
-    status["heartbeats"] = hb_cells
-    return status
-
+from repro.service.queue import build_status
 
 _HTML_PAGE = """<!DOCTYPE html>
 <html><head><meta charset="utf-8">
@@ -68,31 +52,28 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_GET(self):  # noqa: N802 - BaseHTTPRequestHandler API
         directory = self.server.service_directory  # type: ignore[attr-defined]
-        stale_after = self.server.stale_after  # type: ignore[attr-defined]
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         try:
             if path == "/healthz":
                 self._send(200, "text/plain; charset=utf-8", "ok\n")
             elif path == "/status":
-                status = build_status(directory, stale_after)
                 self._send(200, "application/json",
-                           json.dumps(status) + "\n")
+                           json.dumps(build_status(directory)) + "\n")
             elif path == "/metrics":
-                from repro.obs.openmetrics import service_exposition
+                from repro.obs.openmetrics import status_exposition
 
-                status = build_status(directory, stale_after)
                 self._send(
                     200,
                     "application/openmetrics-text; version=1.0.0;"
                     " charset=utf-8",
-                    service_exposition(status),
+                    status_exposition(build_status(directory)),
                 )
             elif path == "/ascii":
                 self._send(200, "text/plain; charset=utf-8",
-                           self._dashboard() + "\n")
+                           self._dashboard(directory) + "\n")
             elif path == "/":
                 page = _HTML_PAGE.format(
-                    refresh=2, body=html.escape(self._dashboard())
+                    refresh=2, body=html.escape(self._dashboard(directory))
                 )
                 self._send(200, "text/html; charset=utf-8", page)
             else:
@@ -106,12 +87,11 @@ class _Handler(BaseHTTPRequestHandler):
             except OSError:
                 pass
 
-    def _dashboard(self) -> str:
-        from repro.analysis.top import render_service_dashboard
+    @staticmethod
+    def _dashboard(directory: str) -> str:
+        from repro.analysis.top import render_dashboard
 
-        directory = self.server.service_directory  # type: ignore[attr-defined]
-        stale_after = self.server.stale_after  # type: ignore[attr-defined]
-        return render_service_dashboard(build_status(directory, stale_after))
+        return render_dashboard(build_status(directory))
 
 
 class ServiceServer(ThreadingHTTPServer):
@@ -119,22 +99,19 @@ class ServiceServer(ThreadingHTTPServer):
 
     daemon_threads = True
 
-    def __init__(self, directory: str, address: Tuple[str, int],
-                 stale_after: float = 0.0):
+    def __init__(self, directory: str, address: Tuple[str, int]):
         super().__init__(address, _Handler)
         self.service_directory = directory
-        self.stale_after = float(stale_after)
 
 
-def start_server(directory: str, host: str = "127.0.0.1", port: int = 0,
-                 stale_after: float = 0.0
+def start_server(directory: str, host: str = "127.0.0.1", port: int = 0
                  ) -> Tuple[ServiceServer, threading.Thread]:
     """Serve ``directory`` in a daemon thread; returns (server, thread).
 
     ``port=0`` binds an ephemeral port -- read the real one back from
     ``server.server_address[1]``.  Call ``server.shutdown()`` to stop.
     """
-    server = ServiceServer(directory, (host, port), stale_after=stale_after)
+    server = ServiceServer(directory, (host, port))
     thread = threading.Thread(target=server.serve_forever, daemon=True,
                               name="repro-service-http")
     thread.start()

@@ -9,12 +9,12 @@ queue database.  Per job:
    result, a previous owner died between its cache commit and the
    queue transition -- complete the job from the cache without running
    anything (this is the exactly-once recovery path).
-2. **Resume where possible.**  A job being *continued* (``claims > 1``
-   after a lease expiry, or ``attempts > 0`` after a raise) with
-   ``snapshot_every > 0`` runs with ``resume=True``, restoring the last
-   epoch checkpoint instead of recomputing finished epochs.
+2. **Resume where possible.**  A job being *continued* (``claims > 1``,
+   after a lease expiry or a raise) with ``snapshot_every > 0`` runs
+   with ``resume=True``, restoring the last epoch checkpoint instead of
+   recomputing finished epochs.
 3. **Execute.**  :func:`~repro.sim.sweep.execute_cell` runs the spec,
-   streaming heartbeats and traces; an extra epoch hook renews the
+   streaming progress files and traces; an extra epoch hook renews the
    queue lease (throttled to a third of the lease period) and raises
    :class:`LeaseLost` if the lease was usurped -- the worker abandons
    the cell and the new owner's run stands alone.
@@ -36,25 +36,16 @@ from dataclasses import dataclass
 from multiprocessing.connection import wait
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.obs.heartbeat import HeartbeatConfig, write_cell_status
 from repro.service.queue import (
-    FAILED,
+    DEFAULT_LEASE_S,
     RUNNING,
     JobQueue,
     Job,
-    heartbeat_dir,
     new_worker_id,
     queue_path,
 )
 from repro.sim import cache as result_cache
 from repro.sim import sweep
-
-#: Default claim lease.  Far above any epoch duration at test scales, so
-#: live workers renew long before expiry; small enough that a killed
-#: worker's job re-queues promptly.
-DEFAULT_LEASE_S = 30.0
-
-SERVICE_HEARTBEAT = "service"  #: ``Worker(heartbeat=)`` default
 
 
 class LeaseLost(Exception):
@@ -74,15 +65,16 @@ class Worker:
     """One pull-based worker bound to a queue directory.
 
     ``trace``/``heartbeat`` take ``run_sweep``'s configs (``None``: off);
-    ``heartbeat`` defaults to the service directory's ``heartbeat_dir``.
-    ``streams`` is ``run_sweep``'s :class:`~repro.sim.streams.StreamStore`
-    (``None``, as in the service: every cell generates its stream live).
+    a ``heartbeat`` names ``directory`` itself, so progress files sit
+    next to ``queue.db``.  ``streams`` is ``run_sweep``'s
+    :class:`~repro.sim.streams.StreamStore` (``None``, as in the
+    service: every cell generates its stream live).
     """
 
     def __init__(self, directory: str, worker_id: Optional[str] = None,
                  lease_s: float = DEFAULT_LEASE_S, poll_s: float = 1.0,
                  drain: bool = False, cache=result_cache.DEFAULT,
-                 trace=None, heartbeat=SERVICE_HEARTBEAT, streams=None):
+                 trace=None, heartbeat=None, streams=None):
         self.worker_id = worker_id or new_worker_id()
         self.lease_s = float(lease_s)
         self.poll_s = float(poll_s)
@@ -90,8 +82,6 @@ class Worker:
         self.cache = result_cache.resolve_cache(cache)
         self.stats = WorkerStats()
         self.trace = trace
-        if heartbeat == SERVICE_HEARTBEAT:
-            heartbeat = HeartbeatConfig(directory=heartbeat_dir(directory))
         self.heartbeat = heartbeat
         self.streams = streams
         self.queue = JobQueue(queue_path(directory))
@@ -128,7 +118,11 @@ class Worker:
 
     def _process(self, job: Job) -> None:
         spec = job.spec()
-        continuation = job.claims > 1 or job.attempts > 0
+        # A continued (``claims > 1``: every attempt was a claim)
+        # checkpointing cell runs its resume=True twin (same cache key),
+        # restoring the last epoch checkpoint; anything else re-runs
+        # from scratch.  The row's ``resumed`` records exactly this.
+        resumed = job.claims > 1 and spec.snapshot_every > 0
 
         # Step 1: exactly-once recovery.  A previous owner may have died
         # after cache.put but before queue.complete -- its result is
@@ -138,33 +132,25 @@ class Worker:
             hit = self.cache.get(spec)
             if hit is not None:
                 if self.queue.complete(job.key, self.worker_id, wall_s=0.0,
-                                       resumed=continuation):
+                                       resumed=resumed):
                     self.stats.recovered += 1
-                    if self.heartbeat is not None:
-                        write_cell_status(self.heartbeat, spec, "done",
-                                          resumed=continuation, progress=1.0)
                 return
 
-        # A continued checkpointing cell runs its resume=True twin (same
-        # cache key), restoring the last epoch checkpoint; anything else
-        # re-runs from scratch.
-        run_spec = (spec.replace(resume=True)
-                    if continuation and spec.snapshot_every > 0 else spec)
+        run_spec = spec.replace(resume=True) if resumed else spec
         renewer = _LeaseRenewer(self.queue, job.key, self.worker_id,
                                 self.lease_s)
-        extra = {} if self.streams is None else {"streams": self.streams}
         ok, result, error = sweep.execute_cell(
             run_spec, trace=self.trace, heartbeat=self.heartbeat,
-            epoch_hook=renewer, **extra,
+            epoch_hook=renewer, streams=self.streams,
         )
         if ok:
             if self.cache is not None:
                 self.cache.put(spec, result)  # commit point
             if self.queue.complete(job.key, self.worker_id,
                                    wall_s=result.wall_seconds,
-                                   resumed=run_spec.resume or continuation):
+                                   resumed=resumed):
                 self.stats.executed += 1
-                if run_spec.resume:
+                if resumed:
                     self.stats.resumed += 1
         elif renewer.lost:
             # Usurped: the new owner's run stands; say nothing to the
@@ -172,22 +158,7 @@ class Worker:
             self.stats.lost_leases += 1
         else:
             self.stats.failures += 1
-            fail_job(self.queue, job, self.worker_id, error or "unknown",
-                     self.heartbeat)
-
-
-def fail_job(queue: JobQueue, job: Job, worker_id: str, error: str,
-             heartbeat: Optional[HeartbeatConfig]) -> None:
-    """Charge ``job`` one attempt for ``worker_id``; stamp ``retrying``,
-    or ``failed`` once the budget is spent (the cell's own failed
-    heartbeat, if any, keeps its error)."""
-    if queue.fail(job.key, worker_id, error) and heartbeat is not None:
-        fresh = queue.job(job.key)
-        write_cell_status(
-            heartbeat, job.spec(),
-            "failed" if fresh.state == FAILED else "retrying",
-            attempts=fresh.attempts,
-        )
+            self.queue.fail(job.key, self.worker_id, error or "unknown")
 
 
 class _LeaseRenewer:
@@ -268,8 +239,7 @@ def run_workers(queue: JobQueue, workers: int, poll: Callable[[], None],
                         if job.lease_owner == worker_id]
                 error = f"worker process died (exit code {proc.exitcode})"
                 for job in held:
-                    fail_job(queue, job, worker_id, error,
-                             worker_kwargs.get("heartbeat"))
+                    queue.fail(job.key, worker_id, error)
                 if held and not queue.drained():
                     spawn()
             poll()

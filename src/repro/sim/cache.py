@@ -11,8 +11,8 @@ Storage layout: ``<cache_dir>/<key[:2]>/<key>.pkl`` where ``key`` is
 ``RunSpec.cache_key()`` (sha256 over the canonical spec JSON plus a
 schema version).  Each entry is a pickle of ``{"spec": <spec dict>,
 "result": <SimResult>}``; the embedded spec dict makes entries
-self-describing for debugging.  Writes go through a temp file and
-``os.replace`` so concurrent writers (parallel sweeps, several CLI
+self-describing for debugging.  Writes go through
+:func:`repro.atomic.atomic_write` so concurrent writers (parallel sweeps, several CLI
 invocations) never expose a torn entry.
 
 Cache invalidation: the key includes ``SPEC_SCHEMA_VERSION`` from
@@ -30,9 +30,10 @@ from __future__ import annotations
 
 import os
 import pickle
-import tempfile
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Union
+
+from repro.atomic import atomic_write
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.sim.engine import SimResult
@@ -123,21 +124,9 @@ class ResultCache:
     def put(self, spec: "RunSpec", result: "SimResult") -> str:
         """Store ``result`` under ``spec``'s key; returns the entry path."""
         path = self._path(spec.cache_key())
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(path), prefix=".tmp-", suffix=".pkl"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump({"spec": spec.to_dict(), "result": result}, fh,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with atomic_write(path) as fh:
+            pickle.dump({"spec": spec.to_dict(), "result": result}, fh,
+                        protocol=pickle.HIGHEST_PROTOCOL)
         self.stats.stores += 1
         return path
 

@@ -374,23 +374,13 @@ class Simulation:
         return regions, rels
 
     @staticmethod
-    def _fuse_reference(regions, rels) -> AccessBatch:
-        """Per-segment rebase + concat: the executable fusion spec.
-
-        No run calls it; the tests hold :meth:`_fuse_staged` to it.
-        """
-        return AccessBatch.concat(
-            [rel.rebased(region.base_vpn)
-             for region, rel in zip(regions, rels)]
-        )
-
-    @staticmethod
     def _fuse_staged(regions, rels) -> AccessBatch:
         """Grouped whole-array fusion: one concat + one base-vector add.
 
-        Bit-identical to :meth:`_fuse_reference` (integer ops, same
-        order); ``tests/test_macro_batch.py`` checks it per batch and
-        end to end.
+        Bit-identical to the per-segment reference fusion
+        (``fuse_reference`` in ``tests/kernel_oracles.py``: integer ops,
+        same order); ``tests/test_macro_batch.py`` checks it per batch
+        and end to end.
         """
         if not rels:
             return AccessBatch.concat([])

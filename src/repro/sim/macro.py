@@ -24,8 +24,9 @@ cadence, and ``macro_batch`` is part of the ``RunSpec`` cache identity.
 Either way the engine fuses each item with one grouped rebase
 (``Simulation._fuse_staged``: a single concatenate plus an
 ``np.repeat`` base vector).  It is held bit-identical to the
-per-segment reference fusion (``Simulation._fuse_reference``, kept as a
-test oracle) by ``tests/test_macro_batch.py``, per batch and end to end
+per-segment reference fusion (``fuse_reference``, a test oracle in
+``tests/kernel_oracles.py``) by ``tests/test_macro_batch.py``, per
+batch and end to end
 (on the runtime kernels and on the scalar test oracles) under strict
 checks.
 

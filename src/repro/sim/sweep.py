@@ -3,9 +3,10 @@
 Reproducing a paper figure means sweeping a grid of configurations --
 Fig. 5 alone is 8 workloads x 7 policies x 3 ratios plus 24 shared
 baselines.  :func:`run_sweep` enqueues any collection of specs into a
-:mod:`repro.service` job queue in a temporary directory and drains it
-with queue workers, so local sweeps and the sweep service share one
-scheduler, one commit point and one attempt ledger.  Sweeps are:
+:mod:`repro.service` job queue (in a temporary directory, or in the
+heartbeat directory) and drains it with queue workers, so local sweeps
+and the sweep service share one scheduler, one commit point and one
+attempt ledger.  Sweeps are:
 
 * **deduplicated** -- identical specs (notably the all-capacity
   baselines shared by every policy in a (workload, ratio) cell) are
@@ -26,7 +27,9 @@ scheduler, one commit point and one attempt ledger.  Sweeps are:
 * **observable** -- a ``progress`` callback receives a
   :class:`SweepEvent` per cell transition; pass a :class:`TraceConfig`
   to additionally capture a structured trace per executed cell (cached
-  cells get a stub file annotated ``from_cache``).
+  cells get a stub file annotated ``from_cache``), or a
+  :class:`~repro.obs.heartbeat.HeartbeatConfig` to keep the queue and
+  per-cell progress files where ``repro top`` can watch them.
 
 :func:`timing_summary` aggregates wall-clock statistics over a finished
 sweep, *excluding* cached cells (their ``wall_seconds`` is zeroed and
@@ -41,17 +44,11 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
-from repro.obs.heartbeat import (
-    HeartbeatConfig,
-    HeartbeatWriter,
-    write_cell_status,
-    write_manifest,
-)
+from repro.obs.heartbeat import HeartbeatConfig, HeartbeatWriter
 from repro.sim import cache as result_cache
 from repro.sim.engine import SimResult
 from repro.sim.runner import RunSpec
@@ -212,12 +209,13 @@ def execute_cell(
     the queue worker commits successes.  With ``trace``, the run is
     traced and the events exported to the trace directory
     before returning (tracing never changes simulation results).  With
-    ``heartbeat``, the cell streams its status into the heartbeat
-    directory per epoch and stamps a terminal ``done``/``failed`` state.
-    An extra ``epoch_hook`` (e.g. the service worker's lease renewal)
-    is chained after the heartbeat's own hook.  ``streams`` is the
-    sweep's :class:`~repro.sim.streams.StreamStore`: the cell records
-    or replays its workload stream there.
+    ``heartbeat``, the cell writes its progress file per epoch
+    (throttled) and once more when the run ends; its lifecycle state
+    lives in the queue row, never in the file.  An extra ``epoch_hook``
+    (e.g. the service worker's lease renewal) is chained after the
+    heartbeat's own hook.  ``streams`` is the sweep's
+    :class:`~repro.sim.streams.StreamStore` (``None``: generate live):
+    the cell records or replays its workload stream there.
 
     Only :class:`Exception` is converted into a failed-cell tuple;
     ``KeyboardInterrupt``/``SystemExit`` propagate so Ctrl-C cancels a
@@ -226,10 +224,7 @@ def execute_cell(
     Queue workers call it through this module at call time, so tests
     can patch ``repro.sim.sweep.execute_cell``.
     """
-    hb = None
-    if heartbeat is not None:
-        hb = HeartbeatWriter(heartbeat, spec, resumed=spec.resume)
-        hb.start()
+    hb = HeartbeatWriter(heartbeat, spec) if heartbeat is not None else None
     try:
         obs = None
         if trace is not None:
@@ -245,19 +240,16 @@ def execute_cell(
             for each in hooks:
                 each(sim)
 
-        # Only sweeps whose cells share a stream pass a store, so
-        # ``execute`` overrides without the parameter keep working.
-        extra = {} if streams is None else {"streams": streams}
-        result = spec.execute(obs=obs, epoch_hook=hook, **extra)
+        result = spec.execute(obs=obs, epoch_hook=hook, streams=streams)
         if trace is not None:
             _export_cell_trace(trace, spec, obs, result)
         if hb is not None:
-            hb.finish("done")
+            hb.flush()
         return True, result, None
     except Exception:
         error = traceback.format_exc()
         if hb is not None:
-            hb.finish("failed", error=error)
+            hb.flush()
         return False, None, error
 
 
@@ -277,10 +269,12 @@ def run_sweep(
     ``outcome.ok`` (or use :func:`raise_failures`).  With ``trace``,
     each executed cell writes a trace file into ``trace.directory``;
     cache hits get a stub annotated ``from_cache`` instead.  With
-    ``heartbeat``, the sweep becomes observable from outside: the
-    parent writes a manifest plus ``cached`` stamps, and every
-    executing cell streams per-epoch status files (``repro top``
-    renders them live).
+    ``heartbeat``, the sweep becomes observable from outside: its queue
+    lives at ``queue_path(heartbeat.directory)`` instead of in the
+    temporary directory, and every executing cell writes a progress
+    file beside it -- the layout of a service directory, so ``repro
+    top`` renders either.  A directory that already holds a queue is
+    refused with :class:`ValueError` (it could be a live service).
 
     Retries are checkpoint-aware: a failed (or killed) cell whose spec
     has ``snapshot_every > 0`` is re-run with ``resume=True``, so the
@@ -300,24 +294,25 @@ def run_sweep(
     ordered = list(dict.fromkeys(specs))
     jobs = default_jobs() if jobs is None else max(1, int(jobs))
     cache = result_cache.resolve_cache(cache)
-    sweep_started = time.time()
-    if heartbeat is not None:
-        write_manifest(heartbeat, ordered, started_at=sweep_started)
+    if heartbeat is not None and os.path.exists(
+            queue_path(heartbeat.directory)):
+        raise ValueError(
+            f"{queue_path(heartbeat.directory)} already exists: a sweep "
+            "needs a heartbeat directory without a queue"
+        )
     with tempfile.TemporaryDirectory(prefix="repro-sweep-") as tmp:
+        ledger = tmp if heartbeat is None else heartbeat.directory
         if cache is None:
             # Results still travel through a cache, so the workers'
             # cache write stays the one commit point.
             cache = result_cache.ResultCache(os.path.join(tmp, "results"))
-        with JobQueue(queue_path(tmp)) as queue:
+        with JobQueue(queue_path(ledger)) as queue:
             report = queue.enqueue(ordered, cache, max_attempts=retries + 1)
             events = _EventLog(queue, dict(zip(report.keys, ordered)),
                                progress)
-            for job in queue.jobs(CACHED):  # no worker ever sees these
-                spec = events.specs[job.key]
-                if trace is not None:
-                    _write_cached_stub(trace, spec)
-                if heartbeat is not None:
-                    write_cell_status(heartbeat, spec, "cached", progress=1.0)
+            if trace is not None:
+                for job in queue.jobs(CACHED):  # no worker ever sees these
+                    _write_cached_stub(trace, events.specs[job.key])
             events.poll()
             streams = StreamStore.for_specs(
                 os.path.join(tmp, "streams"),
@@ -327,10 +322,14 @@ def run_sweep(
                                  cache=cache, trace=trace, heartbeat=heartbeat,
                                  streams=streams)
             if jobs == 1 and report.queued:
-                worker = Worker(tmp, **worker_kwargs)
+                worker = Worker(ledger, **worker_kwargs)
                 with worker.queue:
+                    # Registered, so a watcher of the ledger sees a live
+                    # worker between two cells.
+                    worker.queue.register_worker(worker.worker_id)
                     while worker.step():
                         events.poll()
+                    worker.queue.worker_beat(worker.worker_id, "stopped")
             elif report.queued:
                 run_workers(queue, min(jobs, report.queued), events.poll,
                             **worker_kwargs)
@@ -350,13 +349,8 @@ def run_sweep(
                         job.error or f"no result (job left {job.state})"),
                     # Executions: the failed ones plus the one that won.
                     attempts=job.attempts + (job.state == DONE),
-                    # The final attempt ran with resume=True iff it
-                    # continued an earlier claim of a checkpointing cell.
-                    resumed=job.claims > 1 and spec.snapshot_every > 0,
+                    resumed=job.resumed,
                 )
-    if heartbeat is not None:
-        write_manifest(heartbeat, ordered, started_at=sweep_started,
-                       finished_at=time.time())
     return outcomes
 
 

@@ -23,8 +23,9 @@ resumed by the spec that produced it.  The sidecar JSON manifest makes
 Each ``.pkl`` entry is ``{"manifest": ..., "state": <pickled bytes>}``;
 the manifest records a sha256 of the state payload, verified at load
 (corruption -> the entry is removed and the load is a miss, mirroring
-:mod:`repro.sim.cache`).  Writes are ``mkstemp`` + ``os.replace`` so
-concurrent writers never expose a torn checkpoint.
+:mod:`repro.sim.cache`).  Writes go through
+:func:`repro.atomic.atomic_write` so concurrent writers never expose a
+torn checkpoint.
 
 Versioning: the manifest carries ``SNAPSHOT_FORMAT_VERSION`` (layout of
 the entry itself) and ``SPEC_SCHEMA_VERSION`` (simulation semantics).
@@ -43,9 +44,10 @@ import json
 import os
 import pickle
 import re
-import tempfile
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+
+from repro.atomic import atomic_write
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.runner import RunSpec
@@ -122,21 +124,9 @@ class SnapshotStore:
             "state_sha256": hashlib.sha256(payload).hexdigest(),
         }
         path = self._entry_path(spec_key, epoch)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(path), prefix=".tmp-", suffix=".pkl"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump({"manifest": manifest, "state": payload}, fh,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with atomic_write(path) as fh:
+            pickle.dump({"manifest": manifest, "state": payload}, fh,
+                        protocol=pickle.HIGHEST_PROTOCOL)
         # Sidecar manifest for cheap list/inspect; written after the
         # entry so a manifest never points at a missing checkpoint.
         self._write_sidecar(path, manifest)
@@ -145,20 +135,8 @@ class SnapshotStore:
 
     @staticmethod
     def _write_sidecar(entry_path: str, manifest: Dict[str, Any]) -> None:
-        side = entry_path[:-len(".pkl")] + ".json"
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(side), prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(manifest, fh, indent=2, sort_keys=True)
-            os.replace(tmp, side)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with atomic_write(entry_path[:-len(".pkl")] + ".json", "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
 
     # -- reading -----------------------------------------------------------
 

@@ -20,6 +20,10 @@ at call time:
 * ``SCALAR`` -- the per-element oracles;
 * ``VALIDATE`` -- both on every call, asserting identical results and
   state (the vectorized result is the one the simulation continues with).
+
+:func:`fuse_reference` is the executable spec of the engine's fused
+rebase (``Simulation._fuse_staged``); ``tests/test_macro_batch.py``
+holds the two bit-identical per batch and end to end.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from repro.kernels.sample_fold import (
 )
 from repro.mem.pages import SUBPAGES_PER_HUGE
 from repro.mem.tlb import _ArraySetAssoc as ArraySetAssoc
+from repro.pebs.events import AccessBatch
 
 #: Implementation names; the values appear in test ids and in the
 #: per-implementation digests of ``tests/data/ntier_pinned_digests.json``.
@@ -291,6 +296,16 @@ class ValidatingSetAssoc:
     def load_rows(self, rows: List[List[int]]) -> None:
         self.scalar.load_rows(rows)
         self.array.load_rows(rows)
+
+
+# -- fusion --------------------------------------------------------------------
+
+
+def fuse_reference(regions, rels) -> AccessBatch:
+    """Per-segment rebase + concat: the executable fusion spec."""
+    return AccessBatch.concat(
+        [rel.rebased(region.base_vpn) for region, rel in zip(regions, rels)]
+    )
 
 
 # -- installation --------------------------------------------------------------

@@ -1,15 +1,18 @@
-"""Sweep heartbeats, the ``repro top`` dashboard, and OpenMetrics output.
+"""Sweep progress files, the ``repro top`` dashboard, and OpenMetrics.
 
-The acceptance scenario: an 8-cell sweep whose heartbeat directory ends
-up containing every dashboard state at once -- done, cached, failed,
-resumed (checkpoint-aware retry) and a still-running cell -- rendered
-correctly by ``repro top --snapshot``, with the OpenMetrics exposition
-validating line-by-line against the format grammar.
+A cell's lifecycle lives in its queue row; its worker's progress file
+adds only what the engine knows.  The acceptance scenario: an 8-cell
+heartbeat sweep whose ledger ends up holding every dashboard state at
+once -- done, cached, failed, resumed (checkpoint-aware retry) and a
+still-running cell -- rendered correctly by ``repro top --snapshot``
+(the same frame ``repro service status`` prints), with the OpenMetrics
+exposition validating line-by-line against the format grammar.
 """
 
 import json
 import os
 import re
+import time
 
 import pytest
 
@@ -21,19 +24,16 @@ from repro.obs.heartbeat import (
     HeartbeatWriter,
     aggregate,
     display_state,
-    mark_stalled,
-    read_heartbeats,
-    sweep_stalled,
-    write_cell_status,
-    write_manifest,
+    read_progress,
 )
 from repro.obs.openmetrics import (
     counters_exposition,
     escape_label,
     metric_name,
-    sweep_exposition,
+    status_exposition,
 )
 from repro.analysis.top import progress_bar, render_dashboard
+from repro.service import DEFAULT_LEASE_S, JobQueue, build_status, queue_path
 from repro.sim import sweep
 from repro.sim.runner import RunSpec
 from repro.sim.sweep import run_sweep, timing_summary
@@ -61,13 +61,11 @@ class TestHeartbeatFiles:
         sim = spec.build()
         sim.metrics.timeline_interval_ns = 1e6
         sim.epoch_hook = writer.on_epoch
-        writer.start(sim)
         sim.run(max_accesses=spec.max_accesses)
         with open(config.cell_path(spec)) as fh:
             status = json.load(fh)
-        assert status["state"] == "running"
-        assert status["key"] == spec.cache_key()[:16]
-        assert status["label"] == spec.label()
+        assert status["schema"] == heartbeat.SCHEMA
+        assert status["pid"] == os.getpid()
         assert status["epoch"] >= 1
         # The engine drains whole batches, so accesses may overshoot the
         # budget by a batch; progress clamps at 1.0 regardless.
@@ -76,32 +74,36 @@ class TestHeartbeatFiles:
         assert 0.0 < status["progress"] <= 1.0
         assert status["accesses_per_sec"] > 0
         assert status["eta_s"] is not None and status["eta_s"] >= 0
-        assert status["violations"] == 0 and status["resumed"] is False
-        writer.finish("done")
+        assert status["violations"] == 0 and status["wall_s"] > 0
+        # Lifecycle belongs to the queue row, never to the file.
+        for field in ("state", "attempts", "error", "resumed", "seq"):
+            assert field not in status
+        writer.flush()
         with open(config.cell_path(spec)) as fh:
-            assert json.load(fh)["state"] == "done"
+            assert json.load(fh)["epoch"] == sim._epoch_index
 
     def test_reader_skips_torn_files(self, tmp_path):
         config = HeartbeatConfig(str(tmp_path))
         spec = _spec()
-        write_cell_status(config, spec, "done", progress=1.0)
+        HeartbeatWriter(config, spec).write({"progress": 1.0})
         with open(os.path.join(str(tmp_path), f"torn{HEARTBEAT_SUFFIX}"),
                   "w") as fh:
-            fh.write('{"state": "runni')  # mid-write on a weird fs
-        write_manifest(config, [spec], started_at=1.0)
-        manifest, cells = read_heartbeats(str(tmp_path))
-        assert len(cells) == 1 and cells[0]["state"] == "done"
-        assert len(manifest["cells"]) == 1
+            fh.write('{"progress": 0.')  # mid-write on a weird fs
+        assert read_progress(str(tmp_path)) == {
+            spec.cache_key()[:16]: {"progress": 1.0}
+        }
 
     def test_read_missing_directory(self, tmp_path):
-        manifest, cells = read_heartbeats(str(tmp_path / "nope"))
-        assert manifest == {} and cells == []
+        assert read_progress(str(tmp_path / "nope")) == {}
 
     def test_display_state_precedence(self):
         assert display_state({"state": "failed", "resumed": True}) == "failed"
         assert display_state({"state": "cached", "resumed": True}) == "cached"
         assert display_state({"state": "done", "resumed": True}) == "resumed"
         assert display_state({"state": "running"}) == "running"
+        assert display_state({"state": "running", "stalled": True}) \
+            == "stalled"
+        assert display_state({"state": "queued"}) == "queued"
 
     def test_aggregate(self):
         cells = [
@@ -129,23 +131,22 @@ class TestZeroProgressGuards:
         # Simulate the instant after a checkpoint restore: every access
         # so far predates the resume, and no wall time has passed.
         sim._resume_accesses = int(sim.metrics.total_accesses)
-        writer = HeartbeatWriter(config, spec, resumed=True)
-        status = writer.status(sim, "running", now=writer.started_at)
+        writer = HeartbeatWriter(config, spec)
+        status = writer.status(sim, now=writer.started_at)
         assert status["accesses_per_sec"] is None
         assert status["eta_s"] is None
         assert status["accesses"] > 0  # progress itself still reported
         assert 0.0 < status["progress"] <= 1.0
-        assert status["resumed"] is True
         writer.write(status)  # null rate must survive the JSON round-trip
-        _, cells = read_heartbeats(str(tmp_path))
-        assert cells[0]["accesses_per_sec"] is None
+        cells = read_progress(str(tmp_path))
+        assert cells[spec.cache_key()[:16]]["accesses_per_sec"] is None
 
     def test_fresh_start_zero_elapsed_reports_unknown_rate(self, tmp_path):
         config = HeartbeatConfig(str(tmp_path), min_interval_s=0.0)
         spec = _spec()
         sim = spec.build()  # brand new: zero accesses, zero elapsed
         writer = HeartbeatWriter(config, spec)
-        status = writer.status(sim, "running", now=writer.started_at)
+        status = writer.status(sim, now=writer.started_at)
         assert status["accesses_per_sec"] is None
         assert status["eta_s"] is None
         assert status["progress"] == 0.0
@@ -153,13 +154,11 @@ class TestZeroProgressGuards:
     def test_dashboard_renders_unknown_rate_as_dash(self):
         cells = [{
             "key": "deadbeef", "label": "silo memtis 1:8",
-            "state": "running", "resumed": True, "progress": 0.4,
+            "state": "running", "progress": 0.4,
             "epoch": 9, "accesses": 40_000, "accesses_per_sec": None,
             "eta_s": None, "violations": 0,
         }]
-        manifest = {"cells": [{"key": "deadbeef",
-                               "label": "silo memtis 1:8"}]}
-        art = render_dashboard(manifest, cells)
+        art = render_dashboard({"cells": cells})
         row = [line for line in art.splitlines()
                if "silo memtis 1:8" in line][0]
         assert row.rstrip().endswith("-")  # eta column unknown
@@ -176,81 +175,9 @@ class TestZeroProgressGuards:
 
 
 class TestWriteRaces:
-    """Satellite regressions: the parent's read-merge-write stamp vs the
-    worker's atomic ``os.replace``, and temp-file hygiene when the write
-    path itself fails."""
-
-    def test_parent_stamp_never_resurrects_stale_payload(
-        self, tmp_path, monkeypatch
-    ):
-        """Two-writer race: the parent reads the heartbeat, then a fresher
-        worker write lands *before* the parent commits its merge.  The
-        guarded merge must re-read and preserve the worker's newer epoch
-        instead of resurrecting the stale snapshot it first saw."""
-        config = HeartbeatConfig(str(tmp_path), min_interval_s=0.0)
-        spec = _spec()
-        writer = HeartbeatWriter(config, spec)
-        writer.write(dict(writer._base(), state="running", epoch=3,
-                          progress=0.1, updated_at=1.0))
-        stale_payload, stale_token = heartbeat._read_status(
-            config.cell_path(spec))
-
-        real_read = heartbeat._read_status
-        raced = {"n": 0}
-
-        def delayed_read(path):
-            payload, token = real_read(path)
-            if raced["n"] == 0:
-                raced["n"] += 1
-                # The worker's os.replace lands between the parent's
-                # read and its commit: epoch advanced 3 -> 9.
-                writer.write(dict(writer._base(), state="running", epoch=9,
-                                  progress=0.8, updated_at=2.0))
-                return payload, token
-            return real_read(path)
-
-        monkeypatch.setattr(heartbeat, "_read_status", delayed_read)
-        write_cell_status(config, spec, "retrying", attempts=1)
-
-        final, _ = real_read(config.cell_path(spec))
-        # The parent's stamp landed ...
-        assert final["state"] == "retrying" and final["attempts"] == 1
-        # ... on top of the *fresh* worker payload, not the stale one.
-        assert final["epoch"] == 9 and final["progress"] == 0.8
-        assert final["seq"] > stale_payload["seq"] + 1
-
-    def test_unguarded_merge_would_have_lost_the_race(self, tmp_path):
-        """Documents the bug shape: committing a merge built from a stale
-        read over a newer file is exactly what ``_replace_if_unchanged``
-        refuses to do."""
-        config = HeartbeatConfig(str(tmp_path), min_interval_s=0.0)
-        spec = _spec()
-        path = config.cell_path(spec)
-        writer = HeartbeatWriter(config, spec)
-        writer.write(dict(writer._base(), state="running", epoch=3))
-        stale_payload, stale_token = heartbeat._read_status(path)
-        writer.write(dict(writer._base(), state="running", epoch=9))
-        merged = dict(stale_payload, state="retrying")
-        assert not heartbeat._replace_if_unchanged(path, merged, stale_token)
-        fresh, _ = heartbeat._read_status(path)
-        assert fresh["epoch"] == 9  # untouched
-        assert not [
-            name for name in os.listdir(str(tmp_path))
-            if name.endswith(".tmp")
-        ]
-
-    def test_seq_continues_across_attempts(self, tmp_path):
-        config = HeartbeatConfig(str(tmp_path), min_interval_s=0.0)
-        spec = _spec()
-        first = HeartbeatWriter(config, spec)
-        first.write(dict(first._base(), state="running", epoch=5))
-        seq_before = json.load(open(config.cell_path(spec)))["seq"]
-        # A resumed retry constructs a brand-new writer; its writes must
-        # not restart the counter at 1 or the parent guard would judge
-        # them older than the dead attempt's.
-        second = HeartbeatWriter(config, spec, resumed=True)
-        second.write(dict(second._base(), state="running", epoch=6))
-        assert json.load(open(config.cell_path(spec)))["seq"] > seq_before
+    """Temp-file hygiene when the progress write path itself fails.
+    Each file has one writer (its cell's worker), so there is no merge
+    to race against."""
 
     def test_write_atomic_cleans_temp_and_counts_error(self, tmp_path):
         hb_dir = str(tmp_path / "hb")
@@ -326,43 +253,44 @@ class TestCacheCorruptEntryGuard:
 # -- stall detection -----------------------------------------------------------
 
 
-def _stalled_dir(tmp_path, *, finished=False, states=("running", "running")):
-    """A heartbeat directory whose cells all went quiet long ago."""
-    hb_dir = str(tmp_path / "hb")
-    config = HeartbeatConfig(hb_dir, min_interval_s=0.0)
-    specs = [_spec(seed=100 + i) for i in range(len(states))]
-    for spec, state in zip(specs, states):
-        write_cell_status(config, spec, state,
-                          progress=0.4, epoch=7, accesses_per_sec=1e5)
-        # Backdate the write: json surgery, not time travel.
-        path = config.cell_path(spec)
-        payload = json.load(open(path))
-        payload["updated_at"] = payload["started_at"] = 1.0
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-    write_manifest(config, specs, started_at=1.0,
-                   finished_at=2.0 if finished else None)
-    return hb_dir, config, specs
+def _ledger(tmp_path, *, leases=(-100.0, -100.0), drained=False):
+    """A sweep directory whose cells were claimed by worker ``w-dead``.
+
+    ``leases`` are each claim's lease expiry relative to now (negative:
+    expired); ``drained`` completes every claim instead.  Each cell
+    also gets a progress file, as its worker would have left it.
+    """
+    d = str(tmp_path / "sweep")
+    specs = [_spec(seed=100 + i) for i in range(len(leases))]
+    config = HeartbeatConfig(d)
+    with JobQueue(queue_path(d)) as queue:
+        queue.enqueue(specs, cache=None)
+        for lease in leases:
+            # Claimed long ago, so no claim expires an earlier one.
+            job = queue.claim("w-dead", lease_s=200.0 + lease,
+                              now=time.time() - 200.0)
+            if drained:
+                queue.complete(job.key, "w-dead")
+    for spec in specs:
+        HeartbeatWriter(config, spec).write({
+            "progress": 0.4, "epoch": 7, "accesses_per_sec": 1e5,
+        })
+    return d
 
 
 class TestStallDetection:
-    def test_mark_stalled_flags_quiet_nonterminal_cells(self):
-        cells = [
-            {"state": "running", "updated_at": 10.0},
-            {"state": "retrying", "updated_at": 10.0},
-            {"state": "done", "updated_at": 10.0},      # terminal: never
-            {"state": "running", "updated_at": 95.0},   # recent: live
-        ]
-        assert mark_stalled(cells, stale_after=30.0, now=100.0) == 2
-        assert [c.get("stalled", False) for c in cells] == \
-            [True, True, False, False]
-        assert display_state(cells[0]) == "stalled"
-        assert display_state(cells[2]) == "done"
-
-    def test_mark_stalled_disabled(self):
-        cells = [{"state": "running", "updated_at": 1.0}]
-        assert mark_stalled(cells, stale_after=0.0, now=100.0) == 0
-        assert "stalled" not in cells[0]
+    def test_mark_stalled_flags_quiet_nonterminal_cells(self, tmp_path):
+        """Only a ``running`` row whose lease expired is stalled."""
+        d = _ledger(tmp_path, leases=(-100.0, 100.0, -100.0))
+        with JobQueue(queue_path(d)) as queue:
+            done = queue.jobs()[2]
+            queue.complete(done.key, "w-dead")
+        cells = build_status(d)["cells"]
+        assert [c["stalled"] for c in cells] == [True, False, False]
+        assert [display_state(c) for c in cells] == \
+            ["stalled", "running", "done"]
+        # The join kept each cell's progress next to its row state.
+        assert all(c["epoch"] == 7 for c in cells)
 
     def test_stalled_cell_excluded_from_throughput(self):
         cells = [
@@ -373,54 +301,85 @@ class TestStallDetection:
         assert agg["running_accesses_per_sec"] == 10.0
         assert agg["states"] == {"running": 1, "stalled": 1}
 
-    def test_sweep_stalled_requires_everything_quiet(self):
-        manifest = {"started_at": 1.0}
-        # One live cell -> not stalled, however old the others are.
-        cells = [{"state": "running", "updated_at": 1.0, "stalled": True},
-                 {"state": "running", "updated_at": 99.0}]
-        assert not sweep_stalled(manifest, cells, 30.0, now=100.0)
-        # All quiet + unfinished manifest -> stalled.
-        cells = [{"state": "running", "updated_at": 1.0, "stalled": True},
-                 {"state": "done", "updated_at": 2.0}]
-        assert sweep_stalled(manifest, cells, 30.0, now=100.0)
-        # Finished manifest -> never stalled.
-        assert not sweep_stalled({"finished_at": 3.0}, cells, 30.0, now=100.0)
-        # Detector disabled -> never stalled.
-        assert not sweep_stalled(manifest, cells, 0.0, now=100.0)
+    def test_sweep_stalled_requires_everything_quiet(self, tmp_path):
+        """Live evidence is an unexpired lease or a recently seen worker
+        that has not stopped; without either the ledger is stalled."""
+        now = time.time()
+        with JobQueue(queue_path(_ledger(tmp_path, leases=(-100.0, 5.0)))) \
+                as queue:
+            assert queue.live(now)  # one lease still held
+            assert not queue.live(now + 10.0)  # every lease expired
+            queue.register_worker("w-idle", now=now)
+            assert queue.live(now + 10.0)  # ... but a worker is polling
+            assert not queue.live(now + DEFAULT_LEASE_S + 1.0)
+            queue.worker_beat("w-idle", "stopped", now=now + 10.0)
+            assert not queue.live(now + 10.0)  # stopped workers never count
+            assert not queue.drained()
 
     def test_dashboard_renders_stalled(self, tmp_path):
-        hb_dir, _, _ = _stalled_dir(tmp_path)
-        manifest, cells = read_heartbeats(hb_dir)
-        mark_stalled(cells, stale_after=1.0)
-        art = render_dashboard(manifest, cells)
-        assert "stalled" in art
+        art = render_dashboard(build_status(_ledger(tmp_path)))
+        assert "2 stalled" in art
         # A stalled cell's last-known rate would be a lie: rendered "-".
-        row = [line for line in art.splitlines() if "stalled" in line][0]
+        row = [line for line in art.splitlines()
+               if "stalled" in line and "40%" in line][0]
         assert "100.0k/s" not in row
 
     def test_cli_top_live_loop_exits_3_on_stalled_sweep(
         self, tmp_path, capsys
     ):
-        hb_dir, _, _ = _stalled_dir(tmp_path)
-        rc = cli_main(["top", hb_dir, "--stale-after", "1",
-                       "--interval", "0.1"])
+        rc = cli_main(["top", _ledger(tmp_path), "--interval", "0.1"])
         assert rc == 3
-        err = capsys.readouterr().err
-        assert "stalled" in err
+        assert "stalled" in capsys.readouterr().err
 
     def test_cli_top_live_loop_exits_0_on_finished_sweep(
         self, tmp_path, capsys
     ):
-        hb_dir, _, _ = _stalled_dir(tmp_path, finished=True,
-                                    states=("done", "done"))
-        assert cli_main(["top", hb_dir, "--stale-after", "1",
-                         "--interval", "0.1"]) == 0
+        d = _ledger(tmp_path, drained=True)
+        assert cli_main(["top", d, "--interval", "0.1"]) == 0
+        assert "2 done" in capsys.readouterr().out
 
     def test_cli_top_snapshot_shows_stalled(self, tmp_path, capsys):
-        hb_dir, _, _ = _stalled_dir(tmp_path)
-        assert cli_main(["top", hb_dir, "--snapshot",
-                         "--stale-after", "1"]) == 0
+        assert cli_main(["top", _ledger(tmp_path), "--snapshot"]) == 0
         assert "stalled" in capsys.readouterr().out
+
+    def test_cli_top_without_queue_exits_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "nothing")
+        assert cli_main(["top", missing, "--snapshot"]) == 2
+        assert "no queue" in capsys.readouterr().err
+        assert not os.path.exists(missing)
+
+
+def _tree(directory):
+    """Every file in ``directory`` with its bytes and mtime."""
+    tree = {}
+    for name in sorted(os.listdir(directory)):
+        path = os.path.join(directory, name)
+        with open(path, "rb") as fh:
+            tree[name] = (fh.read(), os.stat(path).st_mtime_ns)
+    return tree
+
+
+class TestSweepLedger:
+    def test_sweep_keeps_its_queue_in_the_heartbeat_dir(self, tmp_path):
+        d = str(tmp_path / "hb")
+        spec = _spec()
+        assert run_sweep([spec], jobs=1, heartbeat=HeartbeatConfig(d))[
+            spec].ok
+        status = build_status(d)
+        assert status["drained"]
+        [cell] = status["cells"]
+        assert cell["state"] == "done" and cell["progress"] == 1.0
+
+    def test_rerun_into_a_ledger_is_refused(self, tmp_path, capsys):
+        d = str(tmp_path / "hb")
+        run_sweep([_spec()], jobs=1, heartbeat=HeartbeatConfig(d))
+        before = _tree(d)
+        assert cli_main(["run", "silo", "memtis", "--quick", "--no-baseline",
+                         "--heartbeat", d]) == 2
+        assert queue_path(d) in capsys.readouterr().err
+        with pytest.raises(ValueError, match=re.escape(queue_path(d))):
+            run_sweep([_spec(seed=99)], heartbeat=HeartbeatConfig(d))
+        assert _tree(d) == before
 
 
 def test_progress_bar_shapes():
@@ -454,24 +413,27 @@ def eight_cell_sweep(tmp_path, monkeypatch):
     # retry re-runs it with resume=True, which lands as a resumed cell.
     real_execute_cell = sweep.execute_cell
 
-    def flaky(spec, trace=None, heartbeat=None, epoch_hook=None):
+    def flaky(spec, trace=None, heartbeat=None, epoch_hook=None,
+              streams=None):
         if spec.seed == 17 and not spec.resume:
             return (False, None, "RuntimeError: injected crash")
-        return real_execute_cell(spec, trace, heartbeat, epoch_hook)
+        return real_execute_cell(spec, trace, heartbeat, epoch_hook, streams)
 
     monkeypatch.setattr(sweep, "execute_cell", flaky)
     specs = done_specs + [cached_spec, failed_spec, flaky_spec]
     outcomes = run_sweep(specs, jobs=1, heartbeat=config, retries=1)
 
-    # Cell 8: a run caught mid-flight -- real writer, never finished.
+    # Cell 8: enqueued into the same ledger and claimed, then caught
+    # mid-flight by a real writer that never finishes.
     running_spec = _spec(seed=18)
+    with JobQueue(queue_path(hb_dir)) as queue:
+        queue.enqueue([running_spec])
+        assert queue.claim("w-running", lease_s=DEFAULT_LEASE_S) is not None
     writer = HeartbeatWriter(config, running_spec)
     sim = running_spec.build()
     sim.metrics.timeline_interval_ns = 1e6
     sim.epoch_hook = writer.on_epoch
-    writer.start(sim)
     sim.run(max_accesses=20_000)  # partial budget: stays "running"
-    write_manifest(config, specs + [running_spec], started_at=0.0)
     return hb_dir, outcomes, specs
 
 
@@ -479,18 +441,23 @@ def eight_cell_sweep(tmp_path, monkeypatch):
 class TestEightCellSweep:
     def test_states_and_dashboard(self, eight_cell_sweep):
         hb_dir, outcomes, specs = eight_cell_sweep
-        manifest, cells = read_heartbeats(hb_dir)
-        assert len(cells) == 8 and len(manifest["cells"]) == 8
+        status = build_status(hb_dir)
+        cells = status["cells"]
+        assert len(cells) == 8 and not status["drained"] and status["live"]
         states = sorted(display_state(c) for c in cells)
         assert states == sorted(
             ["done"] * 4 + ["cached", "failed", "resumed", "running"]
         )
-        art = render_dashboard(manifest, cells)
+        # Progress files exist only for cells a worker executed.
+        progress = read_progress(hb_dir)
+        assert cells[-1]["key"][:16] in progress
+        assert specs[4].cache_key()[:16] not in progress  # cached
+        art = render_dashboard(status)
         assert "sweep: 8 cells" in art
         for state in ("running", "cached", "resumed", "failed"):
             assert state in art
         assert "injected crash" not in art  # failed cell shows *its* error
-        assert "no_such_option" in art or "!!" in art
+        assert "!! TypeError: MemtisConfig" in art
 
     def test_outcomes_and_timing(self, eight_cell_sweep):
         _, outcomes, specs = eight_cell_sweep
@@ -516,6 +483,15 @@ class TestEightCellSweep:
         assert "sweep: 8 cells" in out
         for state in ("running", "cached", "resumed", "failed"):
             assert state in out
+
+    def test_cli_top_snapshot_matches_service_status(self, eight_cell_sweep,
+                                                     capsys):
+        hb_dir, _, _ = eight_cell_sweep
+        assert cli_main(["top", hb_dir, "--snapshot"]) == 0
+        top = capsys.readouterr().out
+        # The failed cell makes `service status` exit 1; same frame.
+        assert cli_main(["service", "status", hb_dir]) == 1
+        assert capsys.readouterr().out == top
 
     def test_cli_top_openmetrics(self, eight_cell_sweep, capsys):
         hb_dir, _, _ = eight_cell_sweep
@@ -582,11 +558,11 @@ class TestOpenMetrics:
 
     def test_sweep_exposition_grammar_with_hostile_labels(self):
         cells = [{
-            "key": "abc", "workload": 'w"1\\x', "policy": "p\n2",
+            "key": "abc", "spec": {"workload": 'w"1\\x', "policy": "p\n2"},
             "state": "running", "progress": 0.5, "epoch": 3,
             "accesses": 10, "accesses_per_sec": 2.5, "resumed": True,
         }]
-        _validate_openmetrics(sweep_exposition(cells))
+        _validate_openmetrics(status_exposition({"cells": cells}))
 
     def test_counters_exposition_from_real_run(self):
         spec = _spec()

@@ -8,7 +8,7 @@ The contract of :mod:`repro.sim.macro` (see its module docstring):
   spec's cache identity, but the *access stream* the engine sees is a
   pure re-grouping of the per-event stream;
 * the engine's staged fused rebase is bit-identical to the per-segment
-  reference fusion (``Simulation._fuse_reference``, a test oracle) --
+  reference fusion (``kernel_oracles.fuse_reference``, a test oracle) --
   per batch, and per ``SimResult.to_dict()`` minus wall-clock fields in
   both kernel implementations, under ``REPRO_CHECK=strict``, and through the
   snapshot kill/resume matrix.
@@ -29,7 +29,7 @@ from repro.sim.runner import RunSpec
 from repro.workloads.base import AccessEvent, AllocEvent, FreeEvent
 
 from conftest import TEST_SCALE
-from kernel_oracles import BOTH, installed
+from kernel_oracles import BOTH, fuse_reference, installed
 from test_engine import ScriptedWorkload, machine
 
 EPOCH_NS = 1e6
@@ -59,7 +59,7 @@ def _run(spec):
 def _use_reference_fusion(monkeypatch):
     """Route the engine's fusion through the reference oracle."""
     monkeypatch.setattr(Simulation, "_fuse_staged",
-                        staticmethod(Simulation._fuse_reference))
+                        staticmethod(fuse_reference))
 
 
 def _check_every_fusion(monkeypatch):
@@ -70,7 +70,7 @@ def _check_every_fusion(monkeypatch):
 
     def checked(regions, rels):
         batch = staged(regions, rels)
-        ref = Simulation._fuse_reference(regions, rels)
+        ref = fuse_reference(regions, rels)
         assert np.array_equal(batch.vpn, ref.vpn)
         assert np.array_equal(batch.is_store, ref.is_store)
         segment_counts.append(len(rels))

@@ -91,7 +91,7 @@ class TestTieredMemory:
         fast = MemoryTier(CAPACITY_TIER, dram_spec(MB))
         cap = MemoryTier(CAPACITY_TIER, nvm_spec(MB))
         with pytest.raises(ValueError):
-            TieredMemory(fast=fast, capacity=cap)
+            TieredMemory([fast, cap])
 
     def test_latency_tables_indexable_by_kind(self):
         tiers = make_pair()

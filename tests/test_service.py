@@ -18,7 +18,7 @@ import urllib.request
 import pytest
 
 from repro.cli import main as cli_main
-from repro.obs.heartbeat import read_heartbeats
+from repro.obs.heartbeat import HeartbeatConfig, read_progress
 from repro.service import (
     CACHED,
     DONE,
@@ -28,11 +28,9 @@ from repro.service import (
     JobQueue,
     Worker,
     build_status,
-    heartbeat_dir,
     queue_path,
     start_server,
     worker_main,
-    write_service_manifest,
 )
 from repro.service.worker import _LeaseRenewer, LeaseLost
 from repro.sim import cache as result_cache
@@ -200,16 +198,18 @@ class TestWorker:
         specs = [_spec(seed=s) for s in (41, 42)]
         queue = JobQueue(queue_path(d))
         queue.enqueue(specs)
-        stats = Worker(d, lease_s=30.0, poll_s=0.05, drain=True).run()
+        stats = Worker(d, lease_s=30.0, poll_s=0.05, drain=True,
+                       heartbeat=HeartbeatConfig(d)).run()
         assert stats.executed == 2 and stats.failures == 0
         assert queue.counts()[DONE] == 2 and queue.drained()
         # Results landed in the shared cache, bit-identical to serial.
         cache = result_cache.resolve_cache(result_cache.DEFAULT)
         for spec in specs:
             assert cache.get(spec).digest() == spec.execute().digest()
-        # Heartbeats streamed into the service's hb dir.
-        _, cells = read_heartbeats(heartbeat_dir(d))
-        assert sorted(c["state"] for c in cells) == ["done", "done"]
+        # Final progress files sit next to queue.db, one per cell.
+        progress = read_progress(d)
+        assert sorted(progress) == sorted(s.cache_key()[:16] for s in specs)
+        assert all(p["progress"] == 1.0 for p in progress.values())
 
     def test_commit_point_recovery_completes_from_cache(self, tmp_path):
         """A previous owner died after cache.put but before complete():
@@ -244,13 +244,14 @@ class TestWorker:
         bad = _spec(seed=44, policy_kwargs={"no_such_option": True})
         queue = JobQueue(queue_path(d))
         queue.enqueue([bad], max_attempts=2)
-        stats = Worker(d, lease_s=30.0, poll_s=0.05, drain=True).run()
+        stats = Worker(d, lease_s=30.0, poll_s=0.05, drain=True,
+                       heartbeat=HeartbeatConfig(d)).run()
         assert stats.failures == 2
         job = queue.jobs()[0]
         assert job.state == FAILED and job.attempts == 2
         assert "no_such_option" in (job.error or "")
-        _, cells = read_heartbeats(heartbeat_dir(d))
-        assert cells and cells[0]["state"] == "failed"
+        [cell] = build_status(d)["cells"]
+        assert cell["state"] == "failed" and cell["attempts"] == 2
 
     def test_error_text_naming_lease_lost_is_an_ordinary_failure(self, tmp_path):
         """Only a refused renewal marks a lease lost, not the error text."""
@@ -275,8 +276,8 @@ class TestServer:
         d = str(tmp_path / "svc")
         queue = JobQueue(queue_path(d))
         queue.enqueue([_spec(seed=51), _spec(seed=52)])
-        write_service_manifest(queue, d)
-        Worker(d, lease_s=30.0, poll_s=0.05, drain=True).run()
+        Worker(d, lease_s=30.0, poll_s=0.05, drain=True,
+               heartbeat=HeartbeatConfig(d)).run()
         return d
 
     @pytest.fixture
@@ -300,22 +301,31 @@ class TestServer:
         assert status == 200 and ctype.startswith("application/json")
         payload = json.loads(body)
         assert payload["jobs"]["done"] == 2 and payload["drained"]
-        assert len(payload["cells"]) == 2
-        assert len(payload["heartbeats"]) == 2
+        assert not payload["live"]  # the worker stopped
+        # Rows joined with their progress files.
+        assert [c["state"] for c in payload["cells"]] == ["done", "done"]
+        assert all(c["progress"] == 1.0 and c["epoch"] >= 1
+                   for c in payload["cells"])
 
-    def test_metrics_grammar(self, served):
+    def test_metrics_grammar(self, served, service_dir, capsys):
         status, ctype, body = self._get(served + "/metrics")
         assert status == 200 and "openmetrics" in ctype
         _validate_openmetrics(body)
         assert 'repro_service_jobs{state="done"} 2' in body
         assert "repro_service_claims_total 2" in body
+        assert 'repro_sweep_cells{state="done"} 2' in body
+        assert cli_main(["top", service_dir, "--openmetrics"]) == 0
+        assert capsys.readouterr().out == body
 
-    def test_dashboards(self, served):
+    def test_dashboards(self, served, service_dir, capsys):
         status, _, body = self._get(served + "/ascii")
-        assert status == 200 and "service: 2 jobs" in body
+        assert status == 200 and "sweep: 2 cells | 2 done" in body
+        # `repro top` prints the very same frame.
+        assert cli_main(["top", service_dir, "--snapshot"]) == 0
+        assert capsys.readouterr().out == body
         status, ctype, body = self._get(served + "/")
         assert status == 200 and ctype.startswith("text/html")
-        assert "service: 2 jobs" in body
+        assert "sweep: 2 cells" in body
 
     def test_unknown_path_404(self, served):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -349,7 +359,7 @@ class TestServiceCli:
         assert "2 done" in capsys.readouterr().out
         assert cli_main(["service", "status", d]) == 0
         out = capsys.readouterr().out
-        assert "service: 2 jobs" in out and "2 done" in out
+        assert "sweep: 2 cells | 2 done" in out
         assert cli_main(["service", "drain", d, "--timeout", "5"]) == 0
         assert "drained" in capsys.readouterr().out
         assert cli_main(["service", "status", d, "--json"]) == 0
@@ -412,7 +422,8 @@ class TestServiceChaos:
             proc = ctx.Process(
                 target=worker_main, args=(d,),
                 kwargs=dict(worker_id=worker_id, lease_s=lease_s,
-                            poll_s=0.05, drain=True),
+                            poll_s=0.05, drain=True,
+                            heartbeat=HeartbeatConfig(d)),
             )
             proc.start()
             return proc
@@ -423,19 +434,12 @@ class TestServiceChaos:
         # Kill the victim once it owns a job that has checkpointed (so
         # the continuation demonstrably resumes instead of recomputing).
         def victim_job_checkpointed():
-            q = JobQueue(queue_path(d))
-            try:
-                for job in q.jobs(RUNNING):
-                    if job.lease_owner != "victim":
-                        continue
-                    _, cells = read_heartbeats(heartbeat_dir(d))
-                    for cell in cells:
-                        if cell.get("key") == job.key[:16] and \
-                                cell.get("last_checkpoint_epoch") is not None:
-                            return job.key
-                return None
-            finally:
-                q.close()
+            for cell in build_status(d)["cells"]:
+                if (cell["state"] == RUNNING
+                        and cell["lease_owner"] == "victim"
+                        and cell.get("last_checkpoint_epoch") is not None):
+                    return cell["key"]
+            return None
 
         killed_key = _await(victim_job_checkpointed, timeout_s=60.0)
         assert killed_key is not None, "victim never checkpointed a job"

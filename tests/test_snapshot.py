@@ -18,6 +18,8 @@ import pytest
 
 from repro import snapshot
 from repro.check import FaultConfig, FaultInjector, SimulationKilled
+from repro.obs.heartbeat import HeartbeatConfig, display_state
+from repro.service import build_status
 from repro.sim.runner import RunSpec
 from repro.sim.sweep import run_sweep
 
@@ -265,13 +267,14 @@ class TestSweepResume:
         original_execute = RunSpec.execute
 
         def chaotic_execute(self, obs=None, faults=None,
-                            snapshots=snapshot.DEFAULT, epoch_hook=None):
+                            snapshots=snapshot.DEFAULT, epoch_hook=None,
+                            streams=None):
             executed.append(self)
             if not self.resume:
                 faults = FaultInjector(FaultConfig(kill_at_epoch=1, seed=3))
             return original_execute(
                 self, obs=obs, faults=faults, snapshots=snapshots,
-                epoch_hook=epoch_hook,
+                epoch_hook=epoch_hook, streams=streams,
             )
 
         monkeypatch.setattr(RunSpec, "execute", chaotic_execute)
@@ -289,23 +292,31 @@ class TestSweepResume:
         assert [s.resume for s in executed] == [False, True]
         assert executed[1] == spec.replace(resume=True)
 
-    def test_failed_cell_without_snapshots_retries_fresh(self, monkeypatch):
-        """No snapshot_every -> the legacy retry path: same spec again."""
+    def test_failed_cell_without_snapshots_retries_fresh(self, monkeypatch,
+                                                         tmp_path):
+        """No snapshot_every -> the legacy retry path: same spec again,
+        which no view may call resumed."""
         spec = _spec()
         calls = []
         original_execute = RunSpec.execute
 
         def flaky_execute(self, obs=None, faults=None,
-                          snapshots=snapshot.DEFAULT, epoch_hook=None):
+                          snapshots=snapshot.DEFAULT, epoch_hook=None,
+                          streams=None):
             calls.append(self)
             if len(calls) == 1:
                 raise ValueError("transient")
             return original_execute(
                 self, obs=obs, faults=faults, snapshots=snapshots,
-                epoch_hook=epoch_hook,
+                epoch_hook=epoch_hook, streams=streams,
             )
 
         monkeypatch.setattr(RunSpec, "execute", flaky_execute)
-        outcomes = run_sweep([spec], jobs=1, cache=None, retries=1)
+        ledger = str(tmp_path / "hb")
+        outcomes = run_sweep([spec], jobs=1, cache=None, retries=1,
+                             heartbeat=HeartbeatConfig(ledger))
         assert outcomes[spec].ok and outcomes[spec].attempts == 2
         assert [s.resume for s in calls] == [False, False]
+        assert outcomes[spec].resumed is False
+        [cell] = build_status(ledger)["cells"]
+        assert not cell["resumed"] and display_state(cell) == "done"

@@ -22,7 +22,7 @@ from repro.pebs.sampler import SamplerConfig
 from repro.policies.base import BatchObservation, TieringPolicy, Traits
 from repro.sim.engine import Simulation
 from repro.sim.machine import DEFAULT_SCALE, MachineSpec, ScaleSpec
-from repro.sim.runner import run_baseline, normalized_performance
+from repro.sim.runner import RunSpec, normalized_performance
 from repro.workloads.registry import make_workload
 from repro.policies.registry import make_policy
 
@@ -126,7 +126,8 @@ def main() -> None:
     args = parser.parse_args()
     scale = QUICK_SCALE if args.quick else DEFAULT_SCALE
 
-    baseline = run_baseline(args.workload, ratio="1:8", scale=scale)
+    baseline = RunSpec(args.workload, "memtis", ratio="1:8",
+                       scale=scale).baseline_spec().run()
     rows = []
     for label, policy in [
         ("freq-threshold (custom)", FrequencyThresholdPolicy()),

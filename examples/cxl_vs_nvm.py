@@ -18,7 +18,7 @@ import argparse
 
 from repro.analysis.tables import format_table
 from repro.sim.machine import DEFAULT_SCALE, ScaleSpec
-from repro.sim.runner import run_baseline, run_experiment, normalized_performance
+from repro.sim.runner import RunSpec, normalized_performance
 
 QUICK_SCALE = ScaleSpec(
     bytes_per_paper_gb=1024 * 1024,
@@ -42,13 +42,12 @@ def main() -> None:
         row = [workload]
         for kind in ("nvm", "cxl"):
             print(f"running {workload} on {kind} ...")
-            baseline = run_baseline(workload, ratio=args.ratio,
-                                    capacity_kind=kind, scale=scale)
-            cell = {}
-            for policy in ("tpp", "memtis"):
-                result = run_experiment(workload, policy, ratio=args.ratio,
-                                        capacity_kind=kind, scale=scale)
-                cell[policy] = normalized_performance(result, baseline)
+            specs = {policy: RunSpec(workload, policy, ratio=args.ratio,
+                                     capacity_kind=kind, scale=scale)
+                     for policy in ("tpp", "memtis")}
+            baseline = specs["tpp"].baseline_spec().run()
+            cell = {policy: normalized_performance(spec.run(), baseline)
+                    for policy, spec in specs.items()}
             row.extend([cell["tpp"], cell["memtis"],
                         f"{(cell['memtis'] / cell['tpp'] - 1) * 100:+.1f}%"])
         rows.append(row)

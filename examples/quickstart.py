@@ -16,7 +16,7 @@ import argparse
 from repro.analysis.ascii import bar_chart
 from repro.analysis.tables import format_table
 from repro.sim.machine import DEFAULT_SCALE, ScaleSpec
-from repro.sim.runner import run_baseline, run_experiment, normalized_performance
+from repro.sim.runner import RunSpec, normalized_performance
 
 QUICK_SCALE = ScaleSpec(
     bytes_per_paper_gb=1024 * 1024,
@@ -41,14 +41,15 @@ def main() -> None:
     print(f"workload={args.workload}  ratio={args.ratio} (DRAM:NVM)\n")
 
     print("running all-NVM baseline ...")
-    baseline = run_baseline(args.workload, ratio=args.ratio, scale=scale)
+    specs = {policy: RunSpec(args.workload, policy, ratio=args.ratio,
+                             scale=scale) for policy in POLICIES}
+    baseline = specs["memtis"].baseline_spec().run()
 
     rows = []
     normalized = {}
     for policy in POLICIES:
         print(f"running {policy} ...")
-        result = run_experiment(args.workload, policy, ratio=args.ratio,
-                                scale=scale)
+        result = specs[policy].run()
         normalized[policy] = normalized_performance(result, baseline)
         rows.append([
             policy,

@@ -23,7 +23,7 @@ from repro.analysis.tables import format_table
 from repro.core.split import skewness_factors, utilization_factors
 from repro.mem.pages import SUBPAGES_PER_HUGE, hpn_to_vpn
 from repro.sim.machine import DEFAULT_SCALE, ScaleSpec
-from repro.sim.runner import build_simulation
+from repro.sim.runner import RunSpec
 
 QUICK_SCALE = ScaleSpec(
     bytes_per_paper_gb=1024 * 1024,
@@ -34,7 +34,7 @@ QUICK_SCALE = ScaleSpec(
 
 
 def study(workload_name: str, scale) -> list:
-    sim = build_simulation(workload_name, "memtis", ratio="1:8", scale=scale)
+    sim = RunSpec(workload_name, "memtis", ratio="1:8", scale=scale).build()
     result = sim.run()
     ks = sim.policy.ksampled
 

@@ -11,8 +11,9 @@ End-to-end over the real CLI and worker entry points:
 4. a replacement worker joins, everything drains;
 5. assertions: every cell terminal ``done``/``cached``, nothing queued,
    running, lost or duplicated; if the kill interrupted a job, that job
-   records a lease expiration and resumed-continuation accounting, and
-   ``repro service status`` exits 0.
+   records a lease expiration and resumed-continuation accounting,
+   ``repro service status`` exits 0, and no view still lists the
+   killed worker as ``victim running``.
 
 Exit code 0 on success, 1 on any assertion failure.
 """
@@ -139,6 +140,10 @@ def main() -> int:
     sys.stdout.write(status.stdout)
     assert status.returncode == 0, \
         f"service status exited {status.returncode}: {status.stderr}"
+    victim_state = {w["worker_id"]: w["state"]
+                    for w in build_status(directory)["workers"]}["victim"]
+    assert victim_state != RUNNING and "victim running" not in status.stdout, \
+        f"killed worker still shown as {victim_state}"
     print("service smoke: OK")
     return 0
 

@@ -21,6 +21,7 @@ pages.
 
 from __future__ import annotations
 
+import textwrap
 from typing import Any, Dict, Optional
 
 from repro.obs.heartbeat import aggregate, display_state
@@ -127,7 +128,12 @@ def render_dashboard(status: Dict[str, Any], width: int = 80) -> str:
         )
         error = (cell.get("error") or "").strip().splitlines()
         if state == "failed" and error:
-            lines.append(
-                f"{'':<{label_w}}  !! {error[-1][:width - label_w - 5]}"
+            # Wrapped (onto at most 3 lines), not cut: the tail (an
+            # argument name, a path) is often what tells errors apart.
+            wrapped = textwrap.wrap(error[-1], max(width - label_w - 5, 12),
+                                    max_lines=3)
+            lines.extend(
+                f"{'':<{label_w}}  {'!!' if i == 0 else '  '} {part}"
+                for i, part in enumerate(wrapped)
             )
     return "\n".join(lines)

@@ -32,13 +32,7 @@ from repro.mem.tiers import (
 from repro.policies.registry import make_policy, policy_names
 from repro.sim.engine import SimResult, Simulation
 from repro.sim.machine import MACHINE_PRESETS, MachineSpec, ScaleSpec
-from repro.sim.runner import (
-    RunSpec,
-    normalized_performance,
-    run_baseline,
-    run_experiment,
-    run_normalized,
-)
+from repro.sim.runner import RunSpec, normalized_performance
 from repro.service import (
     EnqueueReport,
     Job,
@@ -83,9 +77,6 @@ __all__ = [
     "worker_main",
     "build_status",
     "start_server",
-    "run_experiment",
-    "run_baseline",
-    "run_normalized",
     "normalized_performance",
     # registries
     "make_policy",

@@ -26,8 +26,11 @@ def add_execution_args(parser: argparse.ArgumentParser) -> None:
 def apply_execution_args(args) -> None:
     """Install ``--jobs``/``--cache-dir``/``--no-cache`` as process defaults.
 
-    Every experiment module then picks them up through
-    ``run_grid``/``run_experiment`` without per-module plumbing.
+    Every sweep picks them up without per-module plumbing: the
+    regenerators that run their specs through
+    :func:`repro.experiments.common.run_specs`, and the CLI's own runs.
+    The five that build ``Simulation`` directly (fig1, fig3, fig6, fig8,
+    colocation) run serially and uncached whatever the flags say.
     """
     if getattr(args, "jobs", None):
         sweep.set_default_jobs(args.jobs)

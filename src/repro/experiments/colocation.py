@@ -6,6 +6,9 @@ subpage-skewed workload (Silo) with a contiguous-hot one (Liblinear)
 over a shared DRAM pool and compares policies: the interesting question
 is whether MEMTIS's global histogram still sizes one *combined* hot set
 correctly when two applications with different skew shapes compete.
+
+Builds ``Simulation`` directly: a ``MixWorkload`` is outside what a
+``RunSpec`` describes.
 """
 
 from __future__ import annotations

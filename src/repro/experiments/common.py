@@ -1,16 +1,16 @@
-"""Shared experiment scaffolding: results, grids, baseline caching."""
+"""Shared experiment scaffolding: results, the one cell sweep, grids."""
 
 from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.sim import cache as result_cache
 from repro.sim.engine import json_safe
 from repro.sim.machine import DEFAULT_SCALE, ScaleSpec
-from repro.sim.runner import RunSpec, normalized_performance, run_baseline
-from repro.sim.sweep import run_sweep, raise_failures
+from repro.sim.runner import RunSpec, normalized_performance
+from repro.sim.sweep import CellOutcome, run_sweep, raise_failures
 from repro.workloads.registry import PAPER_ORDER
 
 #: Quick scale for tests / smoke runs of the experiment modules.
@@ -56,23 +56,45 @@ class ExperimentResult:
             )
 
 
-class BaselineCache:
-    """Caches the all-capacity baselines shared across policies."""
+def run_specs(
+    specs: Iterable[RunSpec],
+    normalize: bool = False,
+    progress: Optional[Callable[[str], None]] = None,
+    jobs: Optional[int] = None,
+    cache=result_cache.DEFAULT,
+    strict: bool = True,
+) -> Dict[RunSpec, CellOutcome]:
+    """Run a figure's cells in one :func:`repro.sim.sweep.run_sweep`.
 
-    def __init__(self, scale: ScaleSpec, capacity_kind: str = "nvm", seed: int = 42):
-        self.scale = scale
-        self.capacity_kind = capacity_kind
-        self.seed = seed
-        self._cache: Dict[Tuple[str, str], object] = {}
+    With ``normalize``, every spec's ``baseline_spec()`` joins the
+    sweep: baselines go first so serial execution warms them before the
+    cells that normalise against them, and dedup in ``run_sweep`` runs
+    each shared baseline exactly once.  Cells are served from the
+    persistent result cache when possible and fanned out over ``jobs``
+    worker processes (default: the ``--jobs``/``REPRO_JOBS`` setting).
+    ``progress`` receives one human-readable message per completed
+    cell.  With ``strict`` (the default) any failed cell raises
+    :class:`~repro.sim.sweep.SweepError`.
 
-    def get(self, workload: str, ratio: str):
-        key = (workload, ratio)
-        if key not in self._cache:
-            self._cache[key] = run_baseline(
-                workload, ratio=ratio, capacity_kind=self.capacity_kind,
-                scale=self.scale, seed=self.seed,
-            )
-        return self._cache[key]
+    Returns ``{spec: CellOutcome}`` for every spec and baseline.
+    """
+    specs = list(specs)
+    if normalize:
+        specs = [spec.baseline_spec() for spec in specs] + specs
+    outcomes = run_sweep(
+        specs, jobs=jobs, cache=cache,
+        progress=(lambda event: progress(event.message)) if progress else None,
+    )
+    if strict:
+        raise_failures(outcomes)
+    return outcomes
+
+
+def normalized(outcomes: Dict[RunSpec, CellOutcome], spec: RunSpec) -> float:
+    """``spec``'s result normalised to its baseline's, both from a
+    :func:`run_specs` sweep with ``normalize``."""
+    return normalized_performance(outcomes[spec].result,
+                                  outcomes[spec.baseline_spec()].result)
 
 
 def run_grid(
@@ -90,12 +112,9 @@ def run_grid(
 ) -> Dict[Tuple[str, str, str], Dict[str, object]]:
     """Run every (workload, policy, ratio) combo, normalised per cell.
 
-    Cells (plus the one shared all-capacity baseline per
-    (workload, ratio)) are executed through :func:`repro.sim.sweep.run_sweep`:
-    deduplicated, served from the persistent result cache when possible,
-    and fanned out over ``jobs`` worker processes (default: the
-    ``--jobs``/``REPRO_JOBS`` setting, else serial).  ``progress``
-    receives one human-readable message per completed cell.
+    The cells and the one all-capacity baseline each (workload, ratio)
+    shares run in a single :func:`run_specs` sweep; ``progress``,
+    ``jobs`` and ``cache`` are passed through.
 
     Returns ``{(workload, policy, ratio): {"normalized": float,
     "result": SimResult, "baseline": SimResult}}``.  With
@@ -112,17 +131,8 @@ def run_grid(
                     capacity_kind=capacity_kind, scale=scale, seed=seed,
                     policy_kwargs=(policy_kwargs or {}).get(policy, {}),
                 )
-    # Baselines first so serial execution warms them before the cells
-    # that normalise against them; dedup in run_sweep makes each unique
-    # baseline run exactly once however many policies share it.
-    baselines = [spec.baseline_spec() for spec in cells.values()]
-    outcomes = run_sweep(
-        list(dict.fromkeys(baselines)) + list(cells.values()),
-        jobs=jobs, cache=cache,
-        progress=(lambda event: progress(event.message)) if progress else None,
-    )
-    if strict:
-        raise_failures(outcomes)
+    outcomes = run_specs(cells.values(), normalize=True, progress=progress,
+                         jobs=jobs, cache=cache, strict=strict)
 
     out: Dict[Tuple[str, str, str], Dict[str, object]] = {}
     for key, spec in cells.items():
@@ -132,7 +142,7 @@ def run_grid(
             out[key] = {"error": cell.error or baseline.error}
             continue
         out[key] = {
-            "normalized": normalized_performance(cell.result, baseline.result),
+            "normalized": normalized(outcomes, spec),
             "result": cell.result,
             "baseline": baseline.result,
         }

@@ -13,6 +13,9 @@ regions) and reports, per configuration:
 The expected shape: the coarse config (a) and the slow config (b) are
 cheap but inaccurate in space/time respectively; the accurate config
 (c) costs an order of magnitude more CPU.
+
+Builds ``Simulation`` directly: it instruments the engine, which no
+``RunSpec`` describes.
 """
 
 from __future__ import annotations

@@ -8,6 +8,9 @@ Expected shape: Liblinear's hot huge pages have *high* utilisation
 (positive correlation -- splitting cannot help), while Silo's hot huge
 pages touch only a small fraction of their subpages (no positive
 correlation -- splitting pays off).
+
+Builds ``Simulation`` directly: it instruments the engine, which no
+``RunSpec`` describes.
 """
 
 from __future__ import annotations

@@ -4,6 +4,9 @@ The paper grows Graph500 from 128 GB to 690 GB against a fixed 64 GB
 fast tier; MEMTIS's margin over the second-best system *widens* with
 RSS (8.1%-60.5%) because precise hotness classification matters more as
 the fast tier becomes a smaller fraction of the footprint.
+
+Builds ``Simulation`` directly: a fixed-DRAM machine and custom-size
+Graph500 workloads are outside what a ``RunSpec`` describes.
 """
 
 from __future__ import annotations

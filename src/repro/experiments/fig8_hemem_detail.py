@@ -8,6 +8,9 @@ machine's DRAM by the measured over-allocation for the HeMem+ run).
 
 Expected shape: MEMTIS still wins; HeMem+'s extra DRAM does not close
 the gap because static thresholds waste it on arbitrary cold pages.
+
+Builds ``Simulation`` directly: the 16-thread machine with extra DRAM
+is outside what a ``RunSpec`` describes.
 """
 
 from __future__ import annotations

@@ -12,9 +12,9 @@ from typing import Optional
 
 from repro.analysis.ascii import timeline_chart
 from repro.analysis.tables import format_table
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, run_specs
 from repro.sim.machine import DEFAULT_SCALE, ScaleSpec
-from repro.sim.runner import run_experiment
+from repro.sim.runner import RunSpec
 
 WORKLOADS = ["pagerank", "xsbench", "liblinear", "603.bwaves"]
 RATIOS = ["1:2", "1:8"]
@@ -25,35 +25,37 @@ def run(scale: Optional[ScaleSpec] = None, workloads=None, ratios=None,
     scale = scale or DEFAULT_SCALE
     workloads = workloads or WORKLOADS
     ratios = ratios or RATIOS
+    specs = {(ratio, name): RunSpec(name, "memtis", ratio=ratio, scale=scale)
+             for ratio in ratios for name in workloads}
+    outcomes = run_specs(specs.values())
     charts = []
     rows = []
     data = {}
-    for ratio in ratios:
-        for name in workloads:
-            result = run_experiment(name, "memtis", ratio=ratio, scale=scale)
-            timeline = result.metrics.timeline
-            times = [p.now_ns / 1e9 for p in timeline]
-            hot = [p.policy_stats.get("hot_bytes", 0) / 1e6 for p in timeline]
-            warm = [p.policy_stats.get("warm_bytes", 0) / 1e6 for p in timeline]
-            fast_mb = result.machine.fast_bytes / 1e6
-            charts.append(
-                timeline_chart(
-                    times,
-                    {"hot (MB)": hot, "warm (MB)": warm,
-                     "dram (MB)": [fast_mb] * len(times)},
-                    title=f"Fig. 9 [{name} {ratio}] hot/warm vs DRAM {fast_mb:.1f}MB",
-                )
+    for (ratio, name), spec in specs.items():
+        result = outcomes[spec].result
+        timeline = result.metrics.timeline
+        times = [p.now_ns / 1e9 for p in timeline]
+        hot = [p.policy_stats.get("hot_bytes", 0) / 1e6 for p in timeline]
+        warm = [p.policy_stats.get("warm_bytes", 0) / 1e6 for p in timeline]
+        fast_mb = result.machine.fast_bytes / 1e6
+        charts.append(
+            timeline_chart(
+                times,
+                {"hot (MB)": hot, "warm (MB)": warm,
+                 "dram (MB)": [fast_mb] * len(times)},
+                title=f"Fig. 9 [{name} {ratio}] hot/warm vs DRAM {fast_mb:.1f}MB",
             )
-            # Steady-state closeness of hot+warm-in-DRAM to the fast tier:
-            # the paper's "very close to the fast tier size" claim.
-            tail = hot[len(hot) // 2 :] or [0.0]
-            mean_hot = sum(tail) / len(tail)
-            rows.append([name, ratio, f"{mean_hot:.1f}MB", f"{fast_mb:.1f}MB",
-                         f"{mean_hot / fast_mb * 100:.0f}%"])
-            data[f"{name}|{ratio}"] = {
-                "times_s": times, "hot_mb": hot, "warm_mb": warm,
-                "fast_mb": fast_mb, "steady_hot_mb": mean_hot,
-            }
+        )
+        # Steady-state closeness of hot+warm-in-DRAM to the fast tier:
+        # the paper's "very close to the fast tier size" claim.
+        tail = hot[len(hot) // 2 :] or [0.0]
+        mean_hot = sum(tail) / len(tail)
+        rows.append([name, ratio, f"{mean_hot:.1f}MB", f"{fast_mb:.1f}MB",
+                     f"{mean_hot / fast_mb * 100:.0f}%"])
+        data[f"{name}|{ratio}"] = {
+            "times_s": times, "hot_mb": hot, "warm_mb": warm,
+            "fast_mb": fast_mb, "steady_hot_mb": mean_hot,
+        }
     table = format_table(
         ["Benchmark", "Ratio", "Steady hot set", "DRAM", "Hot/DRAM"],
         rows,

@@ -17,7 +17,7 @@ registry:
 
 Every cell is normalised against the matching all-capacity-with-THP
 baseline (the paper's 1.0 convention), so numbers are comparable across
-sections.
+sections.  All three sections run as one sweep.
 """
 
 from __future__ import annotations
@@ -26,7 +26,12 @@ from typing import Optional
 
 from repro.analysis.ascii import bar_chart
 from repro.analysis.tables import format_table
-from repro.experiments.common import ExperimentResult, geomean, run_grid
+from repro.experiments.common import (
+    ExperimentResult,
+    geomean,
+    normalized,
+    run_specs,
+)
 from repro.policies.registry import policy_names
 from repro.sim.machine import DEFAULT_SCALE, ScaleSpec
 from repro.sim.runner import RunSpec
@@ -43,11 +48,11 @@ THREE_TIER_RATIO = "1:8"
 PHASEFLIP_RATIO = "1:2"
 
 
-def _policy_table(grid, workloads, policies, ratio, title):
+def _policy_table(norm, workloads, policies, ratio, title):
     """Rows = policies (wide zoo), columns = workloads + geomean."""
     rows = []
     for policy in policies:
-        values = [grid[(w, policy, ratio)]["normalized"] for w in workloads]
+        values = [norm[(w, policy, ratio)] for w in workloads]
         rows.append([policy] + values + [geomean(values)])
     rows.sort(key=lambda r: -r[-1])
     return format_table(["Policy"] + list(workloads) + ["geomean"], rows,
@@ -73,37 +78,39 @@ def run(
     sections = []
     data = {"cells": {}}
 
+    two_tier = {(w, p, r): RunSpec(w, p, ratio=r, scale=scale)
+                for w in workloads for r in ratios for p in policies}
+    three_tier = {
+        (w, p): RunSpec(w, p, ratio=THREE_TIER_RATIO, scale=scale,
+                        machine_preset=THREE_TIER_PRESET)
+        for w in three_tier_workloads for p in policies
+    }
+    flip = {p: RunSpec("phaseflip", p, ratio=PHASEFLIP_RATIO, scale=scale)
+            for p in policies}
+    outcomes = run_specs(
+        [*two_tier.values(), *three_tier.values(), *flip.values()],
+        normalize=True, progress=progress,
+    )
+
     # -- 1: two-tier grid --------------------------------------------------
-    grid = run_grid(workloads, policies, ratios, scale=scale,
-                    progress=progress)
+    norm = {key: normalized(outcomes, spec) for key, spec in two_tier.items()}
     for ratio in ratios:
         sections.append(_policy_table(
-            grid, workloads, policies, ratio,
+            norm, workloads, policies, ratio,
             title=f"Head-to-head [2-tier DRAM/NVM {ratio}] "
                   "normalised performance (all-NVM+THP = 1.0)",
         ))
-        for (w, p, r), cell in grid.items():
+        for (w, p, r), value in norm.items():
             if r == ratio:
-                data["cells"][f"2tier|{w}|{p}|{r}"] = cell["normalized"]
+                data["cells"][f"2tier|{w}|{p}|{r}"] = value
 
     # -- 2: three-tier preset ----------------------------------------------
     rows_3t = []
-    for workload in three_tier_workloads:
-        baseline = RunSpec(
-            workload, "all-capacity", ratio=THREE_TIER_RATIO, scale=scale,
-            machine_preset=THREE_TIER_PRESET, machine_variant="all-capacity",
-        ).run()
-        for policy in policies:
-            if progress:
-                progress(f"{workload} {policy} [{THREE_TIER_PRESET}]")
-            result = RunSpec(
-                workload, policy, ratio=THREE_TIER_RATIO, scale=scale,
-                machine_preset=THREE_TIER_PRESET,
-            ).run()
-            normalized = baseline.runtime_ns / result.runtime_ns
-            rows_3t.append([policy, workload, normalized,
-                            result.migration.cascade_pages])
-            data["cells"][f"3tier|{workload}|{policy}"] = normalized
+    for (workload, policy), spec in three_tier.items():
+        value = normalized(outcomes, spec)
+        rows_3t.append([policy, workload, value,
+                        outcomes[spec].result.migration.cascade_pages])
+        data["cells"][f"3tier|{workload}|{policy}"] = value
     rows_3t.sort(key=lambda r: (r[1], -r[2]))
     sections.append(format_table(
         ["Policy", "Benchmark", "normalised", "cascade pages"], rows_3t,
@@ -112,29 +119,26 @@ def run(
     ))
 
     # -- 3: phase-flip adaptivity scenario ---------------------------------
-    flip_grid = run_grid(["phaseflip"], policies, [PHASEFLIP_RATIO],
-                         scale=scale, progress=progress)
     flip_rows = []
-    for policy in policies:
-        cell = flip_grid[("phaseflip", policy, PHASEFLIP_RATIO)]
-        stats = cell["result"].policy_stats
+    for policy, spec in flip.items():
+        value = normalized(outcomes, spec)
+        stats = outcomes[spec].result.policy_stats
         adapt = stats.get("phase_resets", stats.get("coolings", 0.0))
-        flip_rows.append([policy, cell["normalized"], adapt])
-        data["cells"][f"phaseflip|{policy}"] = cell["normalized"]
+        flip_rows.append([policy, value, adapt])
+        data["cells"][f"phaseflip|{policy}"] = value
     flip_rows.sort(key=lambda r: -r[1])
     sections.append(format_table(
         ["Policy", "normalised", "resets/coolings"], flip_rows,
         title=f"Phase-flip scenario [{PHASEFLIP_RATIO}]: hot set jumps to a "
               "disjoint range mid-run",
     ))
-    arms_stats = flip_grid[("phaseflip", "arms", PHASEFLIP_RATIO)][
-        "result"].policy_stats if "arms" in policies else {}
+    arms_stats = (outcomes[flip["arms"]].result.policy_stats
+                  if "arms" in policies else {})
 
     # -- summary -----------------------------------------------------------
     overall = {
         policy: geomean(
-            [grid[(w, policy, r)]["normalized"]
-             for w in workloads for r in ratios]
+            [norm[(w, policy, r)] for w in workloads for r in ratios]
         )
         for policy in policies
     }

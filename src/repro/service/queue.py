@@ -491,8 +491,12 @@ def build_status(directory: str,
     writes next to ``queue.db``: lifecycle fields come from the row,
     progress fields from the file, and the row wins where both name a
     field (``wall_s``: the completed attempt's).  A ``running`` row
-    whose lease has expired is marked ``stalled``.  ``repro top``,
-    ``repro service status`` and the HTTP API all render this one dict.
+    whose lease has expired is marked ``stalled``; a worker that has not
+    stopped is shown ``lost`` when its current job has ended or is
+    leased to another worker, or when it has not been seen for
+    :data:`DEFAULT_LEASE_S` (a killed worker never says ``stopped``).
+    ``repro top``, ``repro service status`` and the HTTP API all render
+    this one dict.
     """
     now = time.time() if now is None else now
     with JobQueue(queue_path(directory)) as queue:
@@ -505,6 +509,16 @@ def build_status(directory: str,
              and (cell["lease_expires_at"] or 0.0) < now)
         for cell in status["cells"]
     ]
+    cells = {cell["key"]: cell for cell in status["cells"]}
+    for worker in status["workers"]:
+        job = cells.get(worker["current_key"])
+        if worker["state"] != "stopped" and (
+                (worker["last_seen"] or 0.0) < now - DEFAULT_LEASE_S
+                or job is not None and (
+                    job["state"] in TERMINAL_JOB_STATES
+                    or job["state"] == RUNNING
+                    and job["lease_owner"] != worker["worker_id"])):
+            worker["state"] = "lost"
     return status
 
 

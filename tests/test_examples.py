@@ -1,5 +1,7 @@
 """Examples: importability and one end-to-end smoke run."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -25,6 +27,36 @@ class TestExamplesExist:
         compile(source, path, "exec")
         assert '"""' in source  # documented
         assert "--quick" in source  # supports the fast demo mode
+
+
+def _repro_imports(path):
+    """``(module, name)`` for every ``repro`` import in ``path``
+    (``name`` is None for a plain ``import repro...``)."""
+    tree = ast.parse(open(path).read(), path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and \
+                node.module.split(".")[0] == "repro":
+            for alias in node.names:
+                yield node.module, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "repro":
+                    yield alias.name, None
+
+
+class TestExampleImports:
+    """Every ``repro`` name an example imports still exists, without
+    running the example."""
+
+    @pytest.mark.parametrize("name", EXAMPLES)
+    def test_repro_imports_resolve(self, name):
+        imports = list(_repro_imports(os.path.join(EXAMPLES_DIR, name)))
+        assert imports
+        for module_name, attr in imports:
+            module = importlib.import_module(module_name)
+            if attr is not None and not hasattr(module, attr):
+                # ``from repro import snapshot`` names a submodule.
+                importlib.import_module(f"{module_name}.{attr}")
 
 
 @pytest.mark.slow

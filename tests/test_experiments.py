@@ -63,6 +63,37 @@ class TestCheapExperiments:
         assert result.data["5ms-10-1000"]["cpu_overhead"] > 0
 
 
+class TestOneSweepPerFigure:
+    """A figure builds its RunSpecs, then runs them in one sweep."""
+
+    @pytest.mark.parametrize("exp_id, cells", [
+        ("fig7", 5),   # shared baseline + tpp, memtis + two all-DRAM refs
+        ("fig12", 2),  # memtis, memtis-ns; no baseline
+    ])
+    def test_one_run_sweep_and_no_spec_run(self, exp_id, cells,
+                                           monkeypatch):
+        from repro.experiments import common
+        from repro.sim.runner import RunSpec
+
+        sweeps = []
+        real_sweep = common.run_sweep
+
+        def counting_sweep(specs, **kwargs):
+            sweeps.append(list(specs))
+            return real_sweep(sweeps[-1], **kwargs)
+
+        def no_spec_run(spec, *args, **kwargs):
+            raise AssertionError(f"RunSpec.run({spec.label()}) called")
+
+        monkeypatch.setattr(common, "run_sweep", counting_sweep)
+        monkeypatch.setattr(RunSpec, "run", no_spec_run)
+        result = load_experiment(exp_id).run(scale=SMOKE_SCALE,
+                                             workloads=["silo"])
+        assert len(sweeps) == 1
+        assert len(set(sweeps[0])) == cells
+        assert "silo" in result.data
+
+
 @pytest.mark.slow
 class TestShapeClaims:
     """The paper's qualitative claims, at smoke scale."""

@@ -196,6 +196,34 @@ class TestWriteRaces:
         assert sorted(os.listdir(hb_dir)) == ["cell.hb.json"]
 
 
+class TestFileModes:
+    """Atomic writes land with the mode a plain ``open()`` gives, not
+    ``mkstemp``'s private 0600: other accounts can read them."""
+
+    @staticmethod
+    def _mode(path):
+        return os.stat(path).st_mode & 0o777
+
+    def _plain_mode_beside(self, path):
+        plain = os.path.join(os.path.dirname(path), "plain.txt")
+        with open(plain, "w"):
+            pass
+        return self._mode(plain)
+
+    def test_cache_entry_mode(self, tmp_path):
+        from repro.sim.cache import ResultCache
+
+        path = ResultCache(str(tmp_path / "cache")).put(_spec(), "result")
+        assert self._mode(path) == self._plain_mode_beside(path)
+
+    def test_progress_file_mode(self, tmp_path):
+        writer = HeartbeatWriter(HeartbeatConfig(str(tmp_path / "hb")),
+                                 _spec())
+        writer.write({"ok": 1})
+        assert self._mode(writer.path) == \
+            self._plain_mode_beside(writer.path)
+
+
 class TestCacheCorruptEntryGuard:
     """Satellite regression: ``ResultCache.get`` must not unlink an entry
     a concurrent writer just rewrote."""
@@ -457,7 +485,20 @@ class TestEightCellSweep:
         for state in ("running", "cached", "resumed", "failed"):
             assert state in art
         assert "injected crash" not in art  # failed cell shows *its* error
-        assert "!! TypeError: MemtisConfig" in art
+        # The error line wraps instead of losing its tail.
+        lines = art.splitlines()
+        first = next(i for i, line in enumerate(lines) if "!! " in line)
+        indent = lines[first].index("!! ")
+        error = [lines[first][indent + 3:]]
+        for line in lines[first + 1:]:
+            if not line.startswith(" " * (indent + 3)):
+                break
+            error.append(line.strip())
+        assert all(len(line) <= 80 for line in lines)
+        assert " ".join(error) == (
+            "TypeError: MemtisConfig.__init__() got an unexpected keyword "
+            "argument 'no_such_option'"
+        )
 
     def test_outcomes_and_timing(self, eight_cell_sweep):
         _, outcomes, specs = eight_cell_sweep

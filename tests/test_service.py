@@ -21,6 +21,7 @@ from repro.cli import main as cli_main
 from repro.obs.heartbeat import HeartbeatConfig, read_progress
 from repro.service import (
     CACHED,
+    DEFAULT_LEASE_S,
     DONE,
     FAILED,
     QUEUED,
@@ -173,6 +174,49 @@ class TestJobQueue:
             assert queue.complete(job.key, "w1", now=101.0 + i)
         counts = queue.counts()
         assert counts[DONE] == 50 and counts[QUEUED] == 1950
+
+
+class TestWorkerStatus:
+    def test_build_status_shows_dead_workers_lost(self, tmp_path):
+        d = str(tmp_path / "svc")
+        queue = JobQueue(queue_path(d))
+        queue.enqueue([_spec(seed=s) for s in (71, 72, 73)], cache=None,
+                      now=100.0)
+        for worker_id in ("busy", "finished", "usurped", "thief", "idle",
+                          "stopped"):
+            queue.register_worker(worker_id, now=100.0)
+
+        def start(worker_id, lease_s, now):
+            job = queue.claim(worker_id, lease_s=lease_s, now=now)
+            queue.worker_beat(worker_id, "running", current_key=job.key,
+                              now=now)
+            return job
+
+        start("busy", 60.0, 100.0)
+        done = start("finished", 60.0, 100.0)
+        assert queue.complete(done.key, "finished", now=101.0)
+        lapsed = start("usurped", 5.0, 100.0)
+        assert start("thief", 60.0, 106.0).key == lapsed.key
+        queue.worker_beat("stopped", "stopped", now=100.0)
+
+        def states(now):
+            return {w["worker_id"]: w["state"]
+                    for w in build_status(d, now=now)["workers"]}
+
+        # A job that ended, or is leased to another worker, shows its
+        # last worker lost at once.
+        assert states(110.0) == {
+            "busy": "running", "finished": "lost", "usurped": "lost",
+            "thief": "running", "idle": "idle", "stopped": "stopped",
+        }
+        # Silence beyond the lease period: lost, whatever it last said.
+        assert states(106.0 + DEFAULT_LEASE_S + 1.0) == {
+            "busy": "lost", "finished": "lost", "usurped": "lost",
+            "thief": "lost", "idle": "lost", "stopped": "stopped",
+        }
+        # Display only: the registry and the liveness query are unchanged.
+        assert {w["state"] for w in queue.workers()} == {
+            "running", "idle", "stopped"}
 
 
 class TestLeaseRenewer:

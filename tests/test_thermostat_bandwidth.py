@@ -9,7 +9,7 @@ from repro.policies.registry import make_policy
 from repro.policies.thermostat import ThermostatPolicy
 from repro.sim.cost import CostModel
 from repro.sim.machine import MachineSpec
-from repro.sim.runner import build_simulation
+from repro.sim.runner import RunSpec
 
 from conftest import CAPACITY_TIER, TEST_SCALE, make_context
 
@@ -65,8 +65,8 @@ class TestThermostat:
         assert ctx.space.page_tier[idle_head] == CAPACITY_TIER
 
     def test_end_to_end(self):
-        sim = build_simulation("silo", "thermostat", ratio="1:8",
-                               scale=TEST_SCALE)
+        sim = RunSpec("silo", "thermostat", ratio="1:8",
+                      scale=TEST_SCALE).build()
         result = sim.run(max_accesses=200_000)
         assert result.metrics.fault_ns > 0  # poisoning is never free
         sim.space.check_consistency()

@@ -101,15 +101,14 @@ class TestDemotion:
 class TestEndToEnd:
     def test_competitive_at_2to1_weaker_at_1to8(self):
         """The §8 regime claim, in miniature."""
-        from repro.sim.runner import run_baseline, run_experiment
+        from repro.sim.runner import RunSpec
 
         gaps = {}
         for ratio in ("2:1", "1:8"):
-            base = run_baseline("xsbench", ratio=ratio, scale=TEST_SCALE)
-            tmts = run_experiment("xsbench", "tmts", ratio=ratio,
-                                  scale=TEST_SCALE)
-            memtis = run_experiment("xsbench", "memtis", ratio=ratio,
-                                    scale=TEST_SCALE)
+            spec = RunSpec("xsbench", "tmts", ratio=ratio, scale=TEST_SCALE)
+            base = spec.baseline_spec().run()
+            tmts = spec.run()
+            memtis = spec.replace(policy="memtis").run()
             gaps[ratio] = (base.runtime_ns / memtis.runtime_ns) / (
                 base.runtime_ns / tmts.runtime_ns
             )
